@@ -1,8 +1,8 @@
 /**
  * @file
  * F12 — Hyperscale fleet mode: 100k hosts / 1M VMs through the SoA fleet
- * store and the hierarchical rack/pod manager, at >1M simulator events
- * per second of wall clock.
+ * store and the hierarchical rack/pod manager, with a fleet of per-host
+ * idle governors on top.
  *
  * Paper analogue: the scalability claim behind the management design —
  * power management that stays cheap enough to run fleet-wide. F7 shows
@@ -21,11 +21,12 @@
  *  - VMs are striped over the first 80% of hosts; the empty tail is the
  *    consolidation headroom the hierarchical manager sleeps at night and
  *    re-wakes for the morning ramp.
- *  - Every host runs a self-rescheduling idle-governor event on a
+ *  - Every host runs the library idle governor (dc::IdleGovernor) on a
  *    staggered 5-minute cadence — the OS tick that reports busy cores to
- *    the C-state hierarchy and demotes the idle ones. That is the event
- *    mass a real fleet puts on the engine (100k hosts x 288 ticks/day
- *    = ~29M events/simulated-day), each doing real per-host bookkeeping.
+ *    the C-state hierarchy and demotes the idle ones. That is 100k hosts
+ *    x 288 per-host decisions per simulated day, each doing real per-host
+ *    bookkeeping; hosts sharing a stagger offset are swept by one event,
+ *    so the queue carries at most 300 governor events per period.
  *
  * Determinism: everything is scheduled from the main thread; evaluation
  * threads only touch shard-ordered folds, so the policy table, --json
@@ -33,7 +34,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <iostream>
 #include <memory>
@@ -41,76 +41,12 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "datacenter/idle_governor.hpp"
 #include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
 #include "workload/demand_trace.hpp"
 
 namespace {
-
-/**
- * Per-host idle governor: one self-rescheduling simulator event per host.
- * Each tick reads the host's granted utilization, reports the busy core
- * count to the idle hierarchy and asks for full descent of the rest; the
- * hierarchy clamps and gates. wouldChange() keeps no-op ticks from
- * journaling phantom transitions, so steady-state ticks cost a read and a
- * reschedule — which is exactly the load profile of a fleet of governors.
- */
-class IdleGovernorRig
-{
-  public:
-    IdleGovernorRig(vpm::sim::Simulator &simulator,
-                    vpm::dc::Cluster &cluster, vpm::sim::SimTime period)
-        : simulator_(simulator), cluster_(cluster), period_(period)
-    {
-    }
-
-    /** Schedule every host's first tick, staggered across one period.
-     *  Contiguous host blocks share a timestamp (not a stride pattern),
-     *  so the governors that fire together walk sequential fleet-store
-     *  rows — the cache-friendly order the SoA layout is built for. */
-    void
-    start()
-    {
-        const std::size_t count = cluster_.hostCount();
-        const auto spread = static_cast<std::size_t>(
-            std::max(1.0, period_.toSeconds()));
-        for (std::size_t h = 0; h < count; ++h) {
-            const auto offset = vpm::sim::SimTime::seconds(
-                static_cast<double>(h * spread / count));
-            const auto id = static_cast<vpm::dc::HostId>(h);
-            simulator_.schedule(offset, [this, id] { tick(id); },
-                                "idle-governor");
-        }
-    }
-
-  private:
-    void
-    tick(vpm::dc::HostId h)
-    {
-        vpm::dc::Host &host = cluster_.host(h);
-        if (vpm::power::IdleHierarchy *hier = host.idleHierarchy();
-            hier != nullptr && hier->active()) {
-            const int cores = hier->spec().coreCount;
-            const int busy = std::min(
-                cores, static_cast<int>(std::ceil(host.utilization() *
-                                                  cores)));
-            const int core_depth =
-                static_cast<int>(hier->spec().coreStates.size());
-            const int pkg_depth =
-                static_cast<int>(hier->spec().packageStates.size());
-            if (hier->wouldChange(busy, core_depth, pkg_depth)) {
-                hier->setBusyCores(busy);
-                hier->requestDepth(core_depth, pkg_depth);
-            }
-        }
-        simulator_.schedule(period_, [this, h] { tick(h); },
-                            "idle-governor");
-    }
-
-    vpm::sim::Simulator &simulator_;
-    vpm::dc::Cluster &cluster_;
-    vpm::sim::SimTime period_;
-};
 
 void
 runBody(const vpm::bench::BenchArgs &args)
@@ -193,8 +129,8 @@ runBody(const vpm::bench::BenchArgs &args)
     manager.start();
     dcsim.start();
 
-    IdleGovernorRig governor(simulator, cluster,
-                             sim::SimTime::minutes(5.0));
+    dc::IdleGovernor governor(simulator, cluster,
+                              sim::SimTime::minutes(5.0));
     governor.start();
 
     mgmt::ScenarioResult result;

@@ -15,10 +15,10 @@
  *    the trace file is hundreds of MB while the decoded-chunk cache stays
  *    at the configured window (default 8 MiB), which is the whole point;
  *  - quick: 2k hosts / 20k VMs, same dynamics at CI cost;
- *  - the per-host idle-governor rig (spec.governorPeriodS) supplies the
- *    fleet-of-governors event mass F12 established (hosts x 288
- *    ticks/day), so --bench-json events/sec measures the engine, not an
- *    idle event queue.
+ *  - the idle governor (spec.governorPeriodS, dc::IdleGovernor) makes
+ *    hosts x 288 per-host idle decisions per day, as in F12; hosts that
+ *    share a stagger offset are swept by one event, so the queue carries
+ *    at most 300 governor events per 5-minute period at any fleet size.
  *
  * Determinism: the trace is seeded, the session is spec-built, and all
  * scheduling is main-thread — the policy table and --json report are

@@ -396,20 +396,12 @@ ReplaySession::buildFleet(std::string *error)
     }
 
     if (spec_.governorPeriodS > 0.0) {
-        // One self-rescheduling tick per host, staggered across one
-        // period in contiguous host blocks (cache-friendly fleet-store
-        // order). Scheduled from the main thread, so the event stream —
-        // and therefore every checkpoint — is deterministic.
-        const auto count = static_cast<std::size_t>(spec_.hosts);
-        const auto spread = static_cast<std::size_t>(
-            std::max(1.0, spec_.governorPeriodS));
-        for (std::size_t h = 0; h < count; ++h) {
-            const auto offset = sim::SimTime::seconds(
-                static_cast<double>(h * spread / count));
-            const auto id = static_cast<dc::HostId>(h);
-            simulator_.schedule(offset, [this, id] { governorTick(id); },
-                                "idle-governor");
-        }
+        // Scheduled from the main thread, so the event stream — and
+        // therefore every checkpoint — is deterministic.
+        governor_ = std::make_unique<dc::IdleGovernor>(
+            simulator_, *cluster_,
+            sim::SimTime::seconds(spec_.governorPeriodS));
+        governor_->start();
     }
 
     const double total_capacity = cluster_->totalCpuCapacityMhz();
@@ -422,29 +414,6 @@ ReplaySession::buildFleet(std::string *error)
         idealPower_.update(simulator_.now(), demand / per_host_capacity *
                                                  perHostPeakWatts_);
     });
-}
-
-void
-ReplaySession::governorTick(dc::HostId h)
-{
-    dc::Host &host = cluster_->host(h);
-    if (power::IdleHierarchy *hier = host.idleHierarchy();
-        hier != nullptr && hier->active()) {
-        const int cores = hier->spec().coreCount;
-        const int busy = std::min(
-            cores,
-            static_cast<int>(std::ceil(host.utilization() * cores)));
-        const int core_depth =
-            static_cast<int>(hier->spec().coreStates.size());
-        const int pkg_depth =
-            static_cast<int>(hier->spec().packageStates.size());
-        if (hier->wouldChange(busy, core_depth, pkg_depth)) {
-            hier->setBusyCores(busy);
-            hier->requestDepth(core_depth, pkg_depth);
-        }
-    }
-    simulator_.schedule(sim::SimTime::seconds(spec_.governorPeriodS),
-                        [this, h] { governorTick(h); }, "idle-governor");
 }
 
 void

@@ -39,6 +39,7 @@
 #include "core/joint_policy.hpp"
 #include "core/manager.hpp"
 #include "core/scenario.hpp"
+#include "datacenter/idle_governor.hpp"
 #include "replay/checkpoint.hpp"
 #include "replay/trace_file.hpp"
 #include "stats/summary.hpp"
@@ -98,12 +99,13 @@ struct ReplaySpec
     std::uint64_t windowBytes = 8ull << 20;
 
     /**
-     * > 0: every host runs a self-rescheduling idle-governor tick on this
-     * period (staggered across the fleet) — the OS tick that reports busy
-     * cores to the C-state hierarchy and demotes the idle ones. This is
-     * the fleet-of-governors event mass the hyperscale bench (F12/F13)
-     * measures the engine under; it requires a hierarchy preset. Part of
-     * the spec, so checkpoints rebuild the exact same event schedule.
+     * > 0: every host runs the idle governor on this period (staggered
+     * across the fleet) — the OS tick that reports busy cores to the
+     * C-state hierarchy and demotes the idle ones. Hosts that share a
+     * stagger offset are swept by one event (dc::IdleGovernor), so a
+     * period costs one event per cohort, not one per host. Requires a
+     * hierarchy preset. Part of the spec, so checkpoints rebuild the
+     * exact same event schedule.
      */
     double governorPeriodS = 0.0;
 };
@@ -171,7 +173,6 @@ class ReplaySession
     ReplaySession() = default;
 
     void buildFleet(std::string *error);
-    void governorTick(dc::HostId h);
 
     ReplaySpec spec_;
     sim::Simulator simulator_;
@@ -182,6 +183,7 @@ class ReplaySession
     std::unique_ptr<dc::DatacenterSim> dcsim_;
     std::unique_ptr<mgmt::VpmManager> manager_;
     std::unique_ptr<mgmt::JointPolicyController> joint_;
+    std::unique_ptr<dc::IdleGovernor> governor_;
     stats::TimeWeighted offeredLoad_;
     stats::TimeWeighted idealPower_;
     double perHostPeakWatts_ = 0.0;

@@ -177,6 +177,16 @@ constexpr int kPidMetrics = 0;
 constexpr int kPidHosts = 1;
 constexpr int kPidMigrations = 2;
 constexpr int kPidManager = 3;
+constexpr int kPidIdle = 4;
+
+/** Idle-state thread of a host: core and package levels get their own
+ *  rows, since their spans overlap without nesting. */
+std::int64_t
+idleTid(const EventJournal &journal, const JournalEvent &ev)
+{
+    return std::int64_t{ev.track} * 2 +
+           (journal.label(ev.labelA) == "pkg" ? 1 : 0);
+}
 
 void
 emitMeta(std::ostream &out, int pid, std::int64_t tid, const char *what,
@@ -206,11 +216,18 @@ writeChromeTrace(const Telemetry &telemetry, std::ostream &out)
     emitMeta(out, kPidMigrations, 0, "process_name", "migrations", first);
     emitMeta(out, kPidManager, 0, "process_name", "manager", first);
     emitMeta(out, kPidMetrics, 0, "process_name", "metrics", first);
+    emitMeta(out, kPidIdle, 0, "process_name", "idle states", first);
 
     // Name every track that appears in the journal.
     std::map<std::int32_t, std::string> host_tracks, vm_tracks;
+    std::map<std::int64_t, std::string> idle_tracks;
     for (const JournalEvent &ev : events) {
-        if (ev.domain == TrackDomain::Host)
+        if (ev.kind == EventKind::IdleTransition)
+            idle_tracks.try_emplace(
+                idleTid(journal, ev),
+                displayTrack(journal, ev.domain, ev.track) + " " +
+                    journal.label(ev.labelA));
+        else if (ev.domain == TrackDomain::Host)
             host_tracks.try_emplace(
                 ev.track, displayTrack(journal, ev.domain, ev.track));
         else if (ev.domain == TrackDomain::Vm)
@@ -221,6 +238,8 @@ writeChromeTrace(const Telemetry &telemetry, std::ostream &out)
         emitMeta(out, kPidHosts, track, "thread_name", name, first);
     for (const auto &[track, name] : vm_tracks)
         emitMeta(out, kPidMigrations, track, "thread_name", name, first);
+    for (const auto &[tid, name] : idle_tracks)
+        emitMeta(out, kPidIdle, tid, "thread_name", name, first);
 
     const auto emit = [&](const std::string &event_json) {
         if (!first)
@@ -330,6 +349,24 @@ writeChromeTrace(const Telemetry &telemetry, std::ostream &out)
                  << "}}";
             emit(line.str());
             break;
+          case EventKind::IdleTransition: {
+            // Like a power transition, the record closes the from-state:
+            // render that residency as a completed span on the host's
+            // core or package row.
+            const auto dur_us =
+                static_cast<std::int64_t>(ev.b * 1e6 + 0.5);
+            line << "{\"ph\":\"X\",\"cat\":\"idle\",\"name\":\""
+                 << jsonEscape(journal.label(ev.labelB))
+                 << "\",\"pid\":" << kPidIdle
+                 << ",\"tid\":" << idleTid(journal, ev) << ",\"ts\":"
+                 << ev.timeUs - dur_us << ",\"dur\":" << dur_us
+                 << ",\"args\":{\"to\":\""
+                 << jsonEscape(journal.label(ev.labelC))
+                 << "\",\"cores\":" << fmtDouble(ev.a)
+                 << ",\"joules\":" << fmtDouble(ev.c) << "}}";
+            emit(line.str());
+            break;
+          }
           case EventKind::Alert:
             line << "{\"ph\":\"i\",\"s\":\"g\",\"cat\":\"alert\","
                     "\"name\":\"alert "

@@ -75,6 +75,11 @@ TEST(TelemetryExportTest, ChromeTraceGolden)
 {
     Telemetry telemetry;
     populate(telemetry);
+    // Idle residency closes as core and package spans on their own rows.
+    telemetry.journal().idleTransition(8'000'000, 0, "core", "C6", "C0", 4,
+                                       3.0, 0.5);
+    telemetry.journal().idleTransition(8'000'000, 0, "pkg", "PC6", "PC0", 1,
+                                       2.0, 1.0);
 
     std::ostringstream out;
     writeChromeTrace(telemetry, out);
@@ -85,14 +90,19 @@ TEST(TelemetryExportTest, ChromeTraceGolden)
 {"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"migrations"}},
 {"ph":"M","pid":3,"tid":0,"name":"process_name","args":{"name":"manager"}},
 {"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"metrics"}},
+{"ph":"M","pid":4,"tid":0,"name":"process_name","args":{"name":"idle states"}},
 {"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"host00"}},
 {"ph":"M","pid":2,"tid":7,"name":"thread_name","args":{"name":"vm07"}},
+{"ph":"M","pid":4,"tid":0,"name":"thread_name","args":{"name":"host00 core"}},
+{"ph":"M","pid":4,"tid":1,"name":"thread_name","args":{"name":"host00 pkg"}},
 {"ph":"X","cat":"power","name":"On","pid":1,"tid":0,"ts":0,"dur":2000000,"args":{"to":"Entering","joules":310}},
 {"ph":"C","name":"forecast","pid":3,"tid":0,"ts":3000000,"args":{"forecast":1000,"actual":1250}},
 {"ph":"X","cat":"migration","name":"migrate host0->host1","pid":2,"tid":7,"ts":1000000,"dur":3000000,"args":{"seconds":3}},
 {"ph":"i","s":"p","cat":"decision","name":"sleep(S3) host00","pid":3,"tid":0,"ts":5000000,"args":{"expected_idle_s":600}},
 {"ph":"i","s":"p","cat":"decision","name":"wake host00","pid":3,"tid":0,"ts":6000000,"args":{"reason":"capacity-shortfall"}},
 {"ph":"i","s":"t","cat":"sla","name":"SLA violation vm07","pid":2,"tid":7,"ts":7000000,"args":{"satisfaction":0.5}},
+{"ph":"X","cat":"idle","name":"C6","pid":4,"tid":0,"ts":5000000,"dur":3000000,"args":{"to":"C0","cores":4,"joules":0.5}},
+{"ph":"X","cat":"idle","name":"PC6","pid":4,"tid":1,"ts":6000000,"dur":2000000,"args":{"to":"PC0","cores":1,"joules":1}},
 {"ph":"C","name":"cluster.hosts.on","pid":0,"tid":0,"ts":1000000,"args":{"value":8}}
 ],"displayTimeUnit":"ms"}
 )";

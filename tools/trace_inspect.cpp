@@ -25,9 +25,13 @@
  * a kind does not populate stay empty) for spreadsheet import. With
  * --summary the tool reports counts per kind and per track plus duration
  * statistics for power-phase spans and completed migrations.
+ *
+ * Exit codes: 0 ok, 1 unreadable journal, 2 usage error (unknown flag,
+ * missing value, or a numeric value that is not a whole integer in range).
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -180,6 +184,29 @@ usage(std::FILE *out)
         "                     [--format jsonl|csv]\n");
 }
 
+/**
+ * Strict integer flag value: the whole token must parse, fit, and be >=
+ * @p min. strtoll() alone would read "--limit banana" as 0 and run with
+ * a silently wrong filter; instead the caller prints usage and exits 2.
+ */
+bool
+parseIntFlag(const char *flag, const char *text, std::int64_t min,
+             std::int64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || parsed < min) {
+        std::fprintf(stderr,
+                     "trace_inspect: %s wants an integer >= %lld, got "
+                     "'%s'\n",
+                     flag, static_cast<long long>(min), text);
+        return false;
+    }
+    out = parsed;
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opts)
 {
@@ -221,17 +248,20 @@ parseArgs(int argc, char **argv, Options &opts)
                 return false;
             opts.track = argv[++i];
         } else if (std::strcmp(argv[i], "--since-us") == 0) {
-            if (!needValue(i))
+            if (!needValue(i) ||
+                !parseIntFlag("--since-us", argv[++i], INT64_MIN,
+                              opts.sinceUs))
                 return false;
-            opts.sinceUs = std::strtoll(argv[++i], nullptr, 10);
         } else if (std::strcmp(argv[i], "--until-us") == 0) {
-            if (!needValue(i))
+            if (!needValue(i) ||
+                !parseIntFlag("--until-us", argv[++i], INT64_MIN,
+                              opts.untilUs))
                 return false;
-            opts.untilUs = std::strtoll(argv[++i], nullptr, 10);
         } else if (std::strcmp(argv[i], "--limit") == 0) {
-            if (!needValue(i))
+            std::int64_t limit = 0;
+            if (!needValue(i) || !parseIntFlag("--limit", argv[++i], 0, limit))
                 return false;
-            opts.limit = std::strtoull(argv[++i], nullptr, 10);
+            opts.limit = static_cast<std::uint64_t>(limit);
         } else if (std::strcmp(argv[i], "--format") == 0) {
             if (!needValue(i))
                 return false;
