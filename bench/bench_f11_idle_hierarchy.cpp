@@ -89,15 +89,20 @@ runBody(const vpm::bench::BenchArgs &args)
     for (const double exit_s : sweep) {
         const std::string at = "@" + sim::SimTime::seconds(exit_s).toString();
 
+        // One rig per policy: the F9 blade with the synthetic deep state
+        // at this exit latency and a 1-minute consolidation period.
+        const auto run = [&](const char *policy) {
+            mgmt::ScenarioConfig config = base;
+            config.powerSpec = power::bladeWithSyntheticState(
+                sim::SimTime::seconds(exit_s));
+            mgmt::applyPolicy(config, policy);
+            config.manager.period = sim::SimTime::minutes(1.0);
+            return mgmt::runScenario(config);
+        };
+
         // S3-only: the F9 configuration — consolidate and sleep whole
         // hosts through the synthetic deep state; no hierarchy attached.
-        mgmt::ScenarioConfig s3 = base;
-        s3.powerSpec =
-            power::bladeWithSyntheticState(sim::SimTime::seconds(exit_s));
-        s3.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-        s3.manager.sleepState = "SYNTH";
-        s3.manager.period = sim::SimTime::minutes(1.0);
-        const mgmt::ScenarioResult s3_result = mgmt::runScenario(s3);
+        const mgmt::ScenarioResult s3_result = run("s3");
         bench::finishPolicyTrace(args.tracePath, "S3" + at);
         report.add("S3" + at, s3_result);
         addRow(sim::SimTime::seconds(exit_s).toString(), "S3-only",
@@ -108,13 +113,7 @@ runBody(const vpm::bench::BenchArgs &args)
         // instead of slept — hardware whose only idle mechanism is
         // C-states. Immune to the swept exit latency, but parked hosts
         // never drop below the ~33 W full-descent floor.
-        mgmt::ScenarioConfig cstates = s3;
-        cstates.manager.hostSleep = false;
-        cstates.idleHierarchy = power::modernIdleHierarchy();
-        mgmt::JointPolicyConfig idle_only;
-        idle_only.controlSpeed = false;
-        cstates.jointPolicy = idle_only;
-        const mgmt::ScenarioResult c_result = mgmt::runScenario(cstates);
+        const mgmt::ScenarioResult c_result = run("cstates");
         bench::finishPolicyTrace(args.tracePath, "C" + at);
         report.add("C" + at, c_result);
         addRow("", "C-states-only", c_result);
@@ -124,14 +123,7 @@ runBody(const vpm::bench::BenchArgs &args)
         // (~12 W) once the reserve is full — the host-level tier of the
         // hierarchy — while the speed/sleep governor harvests the idle
         // gaps on the hosts still serving load.
-        mgmt::ScenarioConfig joint = s3;
-        joint.idleHierarchy = power::modernIdleHierarchy();
-        mgmt::JointPolicyConfig joint_policy;
-        joint_policy.speedWindowCycles = 15;
-        joint_policy.speedSurgeGuard = 2.0;
-        joint.jointPolicy = joint_policy;
-        joint.manager.parkedReserve = 3;
-        const mgmt::ScenarioResult j_result = mgmt::runScenario(joint);
+        const mgmt::ScenarioResult j_result = run("joint");
         bench::finishPolicyTrace(args.tracePath, "Joint" + at);
         report.add("Joint" + at, j_result);
         addRow("", "joint", j_result);

@@ -136,16 +136,8 @@ runBody(const vpm::bench::BenchArgs &args)
     mgmt::ScenarioResult result;
     result.metrics = dcsim.runFor(duration);
     result.manager = manager.stats();
-    for (const auto &host_ptr : cluster.hosts()) {
-        power::IdleHierarchy *hier = host_ptr->idleHierarchy();
-        hier->finish(simulator.now());
-        result.idleTransitions += hier->transitions();
-        result.idleTransitionJoules += hier->transitionEnergyJoules();
-    }
-    std::uint64_t wakes = 0;
-    for (const auto &host_ptr : cluster.hosts())
-        wakes += host_ptr->powerFsm().wakeLatenciesSeconds().size();
-    result.wakes = wakes;
+    mgmt::collectRunOutcomes(cluster, migration, nullptr, simulator.now(),
+                             result);
     result.eventsProcessed = simulator.eventsProcessed();
 
     bench::JsonReport report(args.jsonPath, "F12");

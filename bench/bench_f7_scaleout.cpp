@@ -67,7 +67,8 @@ runBody(const vpm::bench::BenchArgs &args)
         const mgmt::ScenarioResult drm = run(mgmt::PolicyKind::DrmOnly);
         const mgmt::ScenarioResult pm = run(mgmt::PolicyKind::PmS3);
 
-        const std::string at = "@" + std::to_string(hosts);
+        std::string at = "@";
+        at += std::to_string(hosts);
         report.add(std::string(toString(mgmt::PolicyKind::NoPM)) + at, nopm);
         report.add(std::string(toString(mgmt::PolicyKind::DrmOnly)) + at,
                    drm);

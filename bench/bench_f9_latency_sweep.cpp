@@ -61,8 +61,7 @@ runBody()
         mgmt::ScenarioConfig config = base;
         config.powerSpec =
             power::bladeWithSyntheticState(sim::SimTime::seconds(exit_s));
-        config.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-        config.manager.sleepState = "SYNTH";
+        mgmt::applyPolicy(config, "s3"); // sleeps in SYNTH on this blade
         config.manager.period = sim::SimTime::minutes(1.0);
         const mgmt::ScenarioResult result = mgmt::runScenario(config);
 

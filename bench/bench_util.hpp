@@ -18,8 +18,8 @@
  *                          --bench-json)
  *   --warmup <n>           unmeasured warmup runs (default 0; 1 under
  *                          --bench-json)
- *   --threads <n>          evaluation worker threads (default 1); results
- *                          are bit-identical at any value
+ *   --threads <n>          evaluation worker threads, 1-64 (default 1);
+ *                          results are bit-identical at any value
  *   --timeseries <path>    compressed vpm-ts-1 snapshot of the downsampling
  *                          store (+ <path>.prom Prometheus text), refreshed
  *                          periodically and finalized at exit; inspect with
@@ -39,7 +39,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -63,6 +62,7 @@
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "telemetry/bench_report.hpp"
+#include "telemetry/cli.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
@@ -110,30 +110,22 @@ printUsage(const char *bench_id, std::FILE *out)
 }
 
 /**
- * Strict integer flag value: the whole token must parse as a base-10
- * integer no smaller than @p min. Anything else — trailing junk ("5x"),
- * non-numeric ("five"), empty, out of range — prints the reason plus
- * usage and exits 2, so `--repeat 0` or `--warmup -1` cannot silently
- * degrade a measurement.
+ * Strict integer flag value in [@p min, @p max] (cli::intFlag); anything
+ * else prints the reason plus usage and exits 2, so `--repeat 0` or
+ * `--warmup -1` cannot silently degrade a measurement.
  */
 inline int
 parseIntFlag(const char *bench_id, const char *flag, const char *text,
-             int min)
+             int min, int max = INT_MAX)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(text, &end, 10);
-    const bool numeric =
-        end != text && *end == '\0' && errno != ERANGE &&
-        parsed >= INT_MIN && parsed <= INT_MAX;
-    if (!numeric || parsed < min) {
-        std::fprintf(stderr,
-                     "bench_%s: %s wants an integer >= %d, got '%s'\n",
-                     bench_id, flag, min, text);
+    const std::string prog = std::string("bench_") + bench_id;
+    const std::optional<long long> parsed =
+        cli::intFlag(prog.c_str(), flag, text, min, max);
+    if (!parsed) {
         printUsage(bench_id, stderr);
         std::exit(2);
     }
-    return static_cast<int>(parsed);
+    return static_cast<int>(*parsed);
 }
 
 /** Read a whole file into a string; exits 2 (with usage) when unreadable.
@@ -212,7 +204,8 @@ parseArgs(const char *bench_id, int argc, char **argv)
             saw_warmup = true;
         } else if (arg == "--threads") {
             args.threads =
-                parseIntFlag(bench_id, "--threads", value("--threads"), 1);
+                parseIntFlag(bench_id, "--threads", value("--threads"), 1,
+                             static_cast<int>(cli::kMaxThreads));
             sim::setGlobalThreads(static_cast<unsigned>(args.threads));
         } else if (arg == "--hosts") {
             args.hosts =

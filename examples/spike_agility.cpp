@@ -74,8 +74,9 @@ main(int argc, char **argv)
                               power::PowerPhase::Exiting
                           ? 1 : 0;
         }
-        const sim::SimTime rel = now - spike_start;
-        log.addRow({(now >= spike_start ? "+" : "") + rel.toString(),
+        std::string offset = now >= spike_start ? "+" : "";
+        offset += (now - spike_start).toString();
+        log.addRow({offset,
                     stats::fmt(demand, 0), stats::fmt(granted, 0),
                     stats::fmtPercent(demand > 0 ? granted / demand : 1.0,
                                       1),

@@ -11,6 +11,60 @@
 
 namespace vpm::mgmt {
 
+bool
+applyPolicy(ScenarioConfig &config, std::string_view name)
+{
+    const std::optional<PolicyPreset> preset = resolvePolicy(
+        name, config.datacenter.evaluationInterval,
+        config.powerSpec.findSleepState("SYNTH") != nullptr);
+    if (!preset)
+        return false;
+    config.manager = preset->manager;
+    config.jointPolicy = preset->joint;
+    config.idleHierarchy.reset();
+    if (preset->joint)
+        config.idleHierarchy = power::modernIdleHierarchy();
+    return true;
+}
+
+void
+collectRunOutcomes(dc::Cluster &cluster, const dc::MigrationEngine &migration,
+                   const JointPolicyController *joint, sim::SimTime end,
+                   ScenarioResult &result)
+{
+    result.meanMigrationSeconds =
+        migration.completedCount() > 0 ? migration.durations().mean() : 0.0;
+    result.crossRackMigrations = migration.crossRackCount();
+    if (joint) {
+        result.jointSpeedTransitions = joint->speedTransitions();
+        result.jointIdleTransitions = joint->idleTransitions();
+    }
+    // Fleet-wide wake agility: every completed wake's end-to-end latency,
+    // pooled across hosts. The p99 is exact (per-wake samples, not
+    // buckets) — it is the sweep orchestrator's agility objective.
+    std::vector<double> wake_latencies;
+    for (const auto &host_ptr : cluster.hosts()) {
+        if (power::IdleHierarchy *hier = host_ptr->idleHierarchy()) {
+            hier->finish(end);
+            result.idleTransitions += hier->transitions();
+            result.idleTransitionJoules += hier->transitionEnergyJoules();
+        }
+        const std::vector<double> &samples =
+            host_ptr->powerFsm().wakeLatenciesSeconds();
+        wake_latencies.insert(wake_latencies.end(), samples.begin(),
+                              samples.end());
+    }
+    result.wakes = wake_latencies.size();
+    if (!wake_latencies.empty()) {
+        stats::Summary wake_summary;
+        for (const double s : wake_latencies)
+            wake_summary.add(s);
+        result.meanWakeSeconds = wake_summary.mean();
+        result.wakeP99Seconds =
+            stats::percentileExact(std::move(wake_latencies), 0.99);
+    }
+}
+
 void
 staticInitialPlacement(
     dc::Cluster &cluster,
@@ -184,23 +238,10 @@ runScenario(const ScenarioConfig &config)
     result.offeredLoadFraction = offered_load.average();
     result.idealProportionalKwh =
         ideal_power.integralSeconds() / 3.6e6;
-    result.meanMigrationSeconds =
-        migration.completedCount() > 0 ? migration.durations().mean() : 0.0;
-    result.crossRackMigrations = migration.crossRackCount();
     if (dvfs)
         result.dvfsTransitions = dvfs->transitions();
-    if (joint) {
-        result.jointSpeedTransitions = joint->speedTransitions();
-        result.jointIdleTransitions = joint->idleTransitions();
-    }
-    if (config.idleHierarchy) {
-        for (const auto &host_ptr : cluster.hosts()) {
-            power::IdleHierarchy *hier = host_ptr->idleHierarchy();
-            hier->finish(simulator.now());
-            result.idleTransitions += hier->transitions();
-            result.idleTransitionJoules += hier->transitionEnergyJoules();
-        }
-    }
+    collectRunOutcomes(cluster, migration, joint.get(), simulator.now(),
+                       result);
     if (failures) {
         result.hostCrashes = failures->crashes();
         result.hostRepairs = failures->repairs();
@@ -214,25 +255,6 @@ runScenario(const ScenarioConfig &config)
             provisioning->placementDelays().max();
     }
 
-    // Fleet-wide wake agility: every completed wake's end-to-end latency,
-    // pooled across hosts. The p99 is exact (per-wake samples, not
-    // buckets) — it is the sweep orchestrator's agility objective.
-    std::vector<double> wake_latencies;
-    for (const auto &host_ptr : cluster.hosts()) {
-        const std::vector<double> &samples =
-            host_ptr->powerFsm().wakeLatenciesSeconds();
-        wake_latencies.insert(wake_latencies.end(), samples.begin(),
-                              samples.end());
-    }
-    result.wakes = wake_latencies.size();
-    if (!wake_latencies.empty()) {
-        stats::Summary wake_summary;
-        for (const double s : wake_latencies)
-            wake_summary.add(s);
-        result.meanWakeSeconds = wake_summary.mean();
-        result.wakeP99Seconds =
-            stats::percentileExact(std::move(wake_latencies), 0.99);
-    }
     result.eventsProcessed = simulator.eventsProcessed();
     return result;
 }

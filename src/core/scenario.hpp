@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string_view>
 
 #include "core/dvfs.hpp"
 #include "core/joint_policy.hpp"
@@ -161,6 +162,16 @@ struct ScenarioResult
 };
 
 /**
+ * Install the registry preset @p name (core/policies.hpp): the manager
+ * and, for presets with a joint governor, the modern idle hierarchy plus
+ * the governor. The preset's rig facts come from @p config itself — the
+ * evaluation interval and whether powerSpec carries the "SYNTH" state —
+ * so set those first. The manager period is left at its default.
+ * @return false (config untouched) for an unknown name.
+ */
+bool applyPolicy(ScenarioConfig &config, std::string_view name);
+
+/**
  * Place every VM with first-fit decreasing by full VM size (CPU limit 1.0,
  * memory limit enforced, anti-affinity groups respected). Fatal if the
  * fleet does not fit — that is a scenario configuration error.
@@ -168,6 +179,17 @@ struct ScenarioResult
 void staticInitialPlacement(
     dc::Cluster &cluster,
     const std::vector<std::vector<dc::VmId>> &anti_affinity_groups = {});
+
+/**
+ * Fill the outcome fields every rig shares at the end of a run: migration
+ * means, the joint governor's transitions (@p joint may be null), every
+ * idle hierarchy closed at @p end with its transitions, and the completed
+ * wakes with their exact mean and p99 end-to-end latency.
+ */
+void collectRunOutcomes(dc::Cluster &cluster,
+                        const dc::MigrationEngine &migration,
+                        const JointPolicyController *joint,
+                        sim::SimTime end, ScenarioResult &result);
 
 /** Build, run and tear down one scenario. Deterministic given the seed. */
 ScenarioResult runScenario(const ScenarioConfig &config);

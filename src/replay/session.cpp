@@ -1,23 +1,18 @@
 #include "replay/session.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <mutex>
+#include <climits>
 #include <optional>
 #include <ostream>
-#include <thread>
 
+#include "core/policies.hpp"
 #include "datacenter/cluster.hpp"
 #include "datacenter/migration.hpp"
 #include "power/idle_hierarchy.hpp"
 #include "power/server_models.hpp"
 #include "simcore/logging.hpp"
-#include "simcore/thread_pool.hpp"
-#include "stats/ci.hpp"
+#include "sweep/runner.hpp"
 #include "telemetry/json_util.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -27,76 +22,47 @@ namespace {
 
 constexpr const char *kSpecSchema = "vpm-replay-spec-1";
 
-std::string
-numToken(double v)
+using telemetry::exactNumber;
+
+/** The registry preset @p policy resolves to on @p spec's rig. */
+std::optional<mgmt::PolicyPreset>
+presetFor(const ReplaySpec &spec, const std::string &policy)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return mgmt::resolvePolicy(policy,
+                               sim::SimTime::seconds(spec.evalIntervalS),
+                               spec.exitLatencyS > 0.0);
 }
 
-/** The five replay policy presets, resolved to a full rig description. */
-struct PresetConfig
-{
-    mgmt::VpmConfig manager;
-    bool hierarchy = false;
-    std::optional<mgmt::JointPolicyConfig> joint;
-};
-
 /**
- * Resolve @p policy against @p spec. The presets mirror tools/sweep's
- * policy column (runner.cpp buildScenario) so branch matrices line up
- * with sweep matrices, with one addition: "hier" is the consolidation-
- * free hyperscale preset (C-states only, no balancing migrations) that
- * bench_f13_replay uses at 100k hosts.
+ * Why @p variant cannot be forked off a running @p spec session; empty
+ * when it can. A fork only switches knobs: the manager's runtime-safe
+ * subset (applyPolicyDelta), and the joint governor narrowed to its idle
+ * half or idled. So the base must run the full governor, speed and idle
+ * halves, and the variant must not power-manage with balancing off —
+ * that is the hyperscale rig (hier), whose consolidation only ever
+ * sleeps hosts the workload emptied, from time zero on; a fork off a
+ * balanced prefix would be a run neither preset describes.
  */
-bool
-buildPreset(const ReplaySpec &spec, const std::string &policy,
-            PresetConfig &out, std::string *error)
+std::string
+branchRefusal(const ReplaySpec &spec, const std::string &variant)
 {
-    const std::string sleep_state = spec.exitLatencyS > 0.0 ? "SYNTH" : "S3";
-    const sim::SimTime joint_period =
-        sim::SimTime::seconds(spec.evalIntervalS);
-
-    out = PresetConfig{};
-    if (policy == "nopm") {
-        out.manager = mgmt::makePolicy(mgmt::PolicyKind::NoPM);
-    } else if (policy == "s3") {
-        out.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-        out.manager.sleepState = sleep_state;
-    } else if (policy == "cstates" || policy == "hier") {
-        out.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-        out.manager.sleepState = sleep_state;
-        // "cstates" keeps every host on (the pure C-state ablation);
-        // "hier" keeps host sleep so the hyperscale day gets its nightly
-        // empty-tail sleep wave, but drops balancing migrations — at
-        // fleet scale triage is rack-level, not per-VM (F12's rig).
-        out.manager.hostSleep = policy == "hier";
-        out.manager.loadBalance = policy == "cstates";
-        out.hierarchy = true;
-        mgmt::JointPolicyConfig idle_only;
-        idle_only.controlSpeed = false;
-        idle_only.period = joint_period;
-        out.joint = idle_only;
-    } else if (policy == "joint") {
-        out.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-        out.manager.sleepState = sleep_state;
-        out.manager.parkedReserve = 3;
-        out.hierarchy = true;
-        mgmt::JointPolicyConfig joint_policy;
-        joint_policy.period = joint_period;
-        joint_policy.speedWindowCycles = 3;
-        joint_policy.speedSurgeGuard = 2.0;
-        out.joint = joint_policy;
-    } else {
-        if (error != nullptr)
-            *error = "unknown replay policy '" + policy +
-                     "' (expected nopm|s3|cstates|joint|hier)";
-        return false;
-    }
-    out.manager.period = sim::SimTime::minutes(spec.managerPeriodMin);
-    out.manager.hierarchical = spec.hierarchical;
-    return true;
+    const std::optional<mgmt::PolicyPreset> base =
+        presetFor(spec, spec.policy);
+    if (!base || !base->joint || !base->joint->controlSpeed ||
+        !base->joint->controlIdle)
+        return "branching needs a base running the full joint governor "
+               "(joint), got '" +
+               spec.policy + "'";
+    const std::optional<mgmt::PolicyPreset> target =
+        presetFor(spec, variant);
+    if (!target)
+        return "unknown policy '" + variant + "' (expected " +
+               mgmt::policyNameList() + ")";
+    if (target->manager.powerManage && !target->manager.loadBalance)
+        return "policy '" + variant +
+               "' power-manages without balancing, which a fork off a "
+               "balanced prefix cannot reach";
+    return {};
 }
 
 bool
@@ -134,12 +100,14 @@ validateSpec(const ReplaySpec &spec, std::string *error)
         return fail("exit_latency_s must be >= 0");
     if (spec.governorPeriodS < 0.0)
         return fail("governor_period_s must be >= 0");
-    PresetConfig preset;
-    if (!buildPreset(spec, spec.policy, preset, error))
-        return false;
-    if (spec.governorPeriodS > 0.0 && !preset.hierarchy)
-        return fail("governor_period_s needs an idle-hierarchy preset "
-                    "(cstates|joint|hier)");
+    const std::optional<mgmt::PolicyPreset> preset =
+        presetFor(spec, spec.policy);
+    if (!preset)
+        return fail("unknown policy '" + spec.policy + "' (expected " +
+                    mgmt::policyNameList() + ")");
+    if (spec.governorPeriodS > 0.0 && !preset->joint)
+        return fail("governor_period_s needs a preset with an idle "
+                    "hierarchy (cstates|joint|hier)");
     return true;
 }
 
@@ -199,20 +167,20 @@ writeSpecJson(const ReplaySpec &spec)
            "\",\n";
     out += "  \"hosts\": " + std::to_string(spec.hosts) + ",\n";
     out += "  \"vms\": " + std::to_string(spec.vms) + ",\n";
-    out += "  \"vm_cpu_mhz\": " + numToken(spec.vmCpuMhz) + ",\n";
-    out += "  \"vm_memory_mb\": " + numToken(spec.vmMemoryMb) + ",\n";
-    out += "  \"duration_hours\": " + numToken(spec.durationHours) + ",\n";
-    out += "  \"eval_interval_s\": " + numToken(spec.evalIntervalS) + ",\n";
-    out += "  \"manager_period_min\": " + numToken(spec.managerPeriodMin) +
+    out += "  \"vm_cpu_mhz\": " + exactNumber(spec.vmCpuMhz) + ",\n";
+    out += "  \"vm_memory_mb\": " + exactNumber(spec.vmMemoryMb) + ",\n";
+    out += "  \"duration_hours\": " + exactNumber(spec.durationHours) + ",\n";
+    out += "  \"eval_interval_s\": " + exactNumber(spec.evalIntervalS) + ",\n";
+    out += "  \"manager_period_min\": " + exactNumber(spec.managerPeriodMin) +
            ",\n";
     out += "  \"policy\": \"" + telemetry::jsonEscape(spec.policy) + "\",\n";
-    out += "  \"exit_latency_s\": " + numToken(spec.exitLatencyS) + ",\n";
-    out += "  \"loaded_fraction\": " + numToken(spec.loadedFraction) + ",\n";
+    out += "  \"exit_latency_s\": " + exactNumber(spec.exitLatencyS) + ",\n";
+    out += "  \"loaded_fraction\": " + exactNumber(spec.loadedFraction) + ",\n";
     out += std::string("  \"hierarchical\": ") +
            (spec.hierarchical ? "true" : "false") + ",\n";
     out += "  \"seed\": " + std::to_string(spec.seed) + ",\n";
     out += "  \"window_bytes\": " + std::to_string(spec.windowBytes) + ",\n";
-    out += "  \"governor_period_s\": " + numToken(spec.governorPeriodS) +
+    out += "  \"governor_period_s\": " + exactNumber(spec.governorPeriodS) +
            "\n";
     out += "}\n";
     return out;
@@ -235,38 +203,50 @@ parseSpecJson(const std::string &text, ReplaySpec &out, std::string *error)
                      kSpecSchema + "\"";
         return false;
     }
+    // Every member is checked: an unknown key (a typo such as "polcy")
+    // or a mistyped value would otherwise leave a default in place.
     ReplaySpec spec;
-    spec.name = telemetry::stringOr(doc.find("name"), spec.name);
-    spec.tracePath = telemetry::stringOr(doc.find("trace_path"), "");
-    spec.hosts = static_cast<int>(
-        telemetry::numberOr(doc.find("hosts"), spec.hosts));
-    spec.vms =
-        static_cast<int>(telemetry::numberOr(doc.find("vms"), spec.vms));
-    spec.vmCpuMhz = telemetry::numberOr(doc.find("vm_cpu_mhz"),
-                                        spec.vmCpuMhz);
-    spec.vmMemoryMb = telemetry::numberOr(doc.find("vm_memory_mb"),
-                                          spec.vmMemoryMb);
-    spec.durationHours = telemetry::numberOr(doc.find("duration_hours"),
-                                             spec.durationHours);
-    spec.evalIntervalS = telemetry::numberOr(doc.find("eval_interval_s"),
-                                             spec.evalIntervalS);
-    spec.managerPeriodMin = telemetry::numberOr(
-        doc.find("manager_period_min"), spec.managerPeriodMin);
-    spec.policy = telemetry::stringOr(doc.find("policy"), spec.policy);
-    spec.exitLatencyS = telemetry::numberOr(doc.find("exit_latency_s"),
-                                            spec.exitLatencyS);
-    spec.loadedFraction = telemetry::numberOr(doc.find("loaded_fraction"),
-                                              spec.loadedFraction);
-    spec.hierarchical = telemetry::boolOr(doc.find("hierarchical"),
-                                          spec.hierarchical);
-    spec.seed = static_cast<std::uint64_t>(
-        telemetry::numberOr(doc.find("seed"),
-                            static_cast<double>(spec.seed)));
-    spec.windowBytes = static_cast<std::uint64_t>(
-        telemetry::numberOr(doc.find("window_bytes"),
-                            static_cast<double>(spec.windowBytes)));
-    spec.governorPeriodS = telemetry::numberOr(
-        doc.find("governor_period_s"), spec.governorPeriodS);
+    std::string why;
+    const bool read =
+        telemetry::rejectUnknownMembers(
+            doc,
+            {"schema", "name", "trace_path", "hosts", "vms", "vm_cpu_mhz",
+             "vm_memory_mb", "duration_hours", "eval_interval_s",
+             "manager_period_min", "policy", "exit_latency_s",
+             "loaded_fraction", "hierarchical", "seed", "window_bytes",
+             "governor_period_s"},
+            &why) &&
+        telemetry::readMember(doc, "name", spec.name, &why) &&
+        telemetry::readMember(doc, "trace_path", spec.tracePath, &why) &&
+        telemetry::readInteger(doc, "hosts", 1, INT_MAX, spec.hosts, &why) &&
+        telemetry::readInteger(doc, "vms", 0, INT_MAX, spec.vms, &why) &&
+        telemetry::readMember(doc, "vm_cpu_mhz", spec.vmCpuMhz, &why) &&
+        telemetry::readMember(doc, "vm_memory_mb", spec.vmMemoryMb, &why) &&
+        telemetry::readMember(doc, "duration_hours", spec.durationHours,
+                              &why) &&
+        telemetry::readMember(doc, "eval_interval_s", spec.evalIntervalS,
+                              &why) &&
+        telemetry::readMember(doc, "manager_period_min",
+                              spec.managerPeriodMin, &why) &&
+        telemetry::readMember(doc, "policy", spec.policy, &why) &&
+        telemetry::readMember(doc, "exit_latency_s", spec.exitLatencyS,
+                              &why) &&
+        telemetry::readMember(doc, "loaded_fraction", spec.loadedFraction,
+                              &why) &&
+        telemetry::readMember(doc, "hierarchical", spec.hierarchical,
+                              &why) &&
+        telemetry::readInteger(doc, "seed", 0, telemetry::kMaxExactInteger,
+                               spec.seed, &why) &&
+        telemetry::readInteger(doc, "window_bytes", 1,
+                               telemetry::kMaxExactInteger, spec.windowBytes,
+                               &why) &&
+        telemetry::readMember(doc, "governor_period_s",
+                              spec.governorPeriodS, &why);
+    if (!read) {
+        if (error != nullptr)
+            *error = "replay spec: " + why;
+        return false;
+    }
     if (!validateSpec(spec, error))
         return false;
     out = std::move(spec);
@@ -322,12 +302,10 @@ ReplaySession::buildFleet(std::string *error)
     const int vm_count =
         spec_.vms > 0 ? spec_.vms : static_cast<int>(trace_vms);
 
-    PresetConfig preset;
-    if (!buildPreset(spec_, spec_.policy, preset, error)) {
-        cluster_.reset();
-        return;
-    }
-    usesHierarchy_ = preset.hierarchy;
+    // validateSpec() already resolved the name.
+    mgmt::PolicyPreset preset = *presetFor(spec_, spec_.policy);
+    preset.manager.period = sim::SimTime::minutes(spec_.managerPeriodMin);
+    preset.manager.hierarchical = spec_.hierarchical;
 
     const power::HostPowerSpec power_spec =
         spec_.exitLatencyS > 0.0
@@ -346,7 +324,7 @@ ReplaySession::buildFleet(std::string *error)
         host_config.memoryCapacityMb)
         return fail("fleet does not fit: " +
                     std::to_string(worst_per_host) + " VMs x " +
-                    numToken(spec_.vmMemoryMb) + " MB exceeds host memory; "
+                    exactNumber(spec_.vmMemoryMb) + " MB exceeds host memory; "
                     "grow hosts or loaded_fraction");
 
     cluster_ = std::make_unique<dc::Cluster>(simulator_);
@@ -363,7 +341,7 @@ ReplaySession::buildFleet(std::string *error)
         cluster_->addVm(std::move(vm_spec));
     }
 
-    if (preset.hierarchy) {
+    if (preset.joint) {
         const power::IdleHierarchySpec hier_spec =
             power::modernIdleHierarchy();
         for (const auto &host_ptr : cluster_->hosts())
@@ -536,25 +514,15 @@ ReplaySession::applyVariant(const std::string &policy, std::string *error)
     };
     if (finished_)
         return fail("session already finished");
-    if (spec_.policy != "joint")
-        return fail("branching requires the 'joint' base preset (got '" +
-                    spec_.policy + "')");
-    if (policy == "hier")
-        return fail("'hier' differs structurally (no balancing) and is "
-                    "not reachable from a running 'joint' session");
-
-    PresetConfig target;
-    if (!buildPreset(spec_, policy, target, error))
-        return false;
+    const std::string refusal = branchRefusal(spec_, policy);
+    if (!refusal.empty())
+        return fail(refusal);
+    const mgmt::PolicyPreset target = *presetFor(spec_, policy);
 
     manager_->applyPolicyDelta(target.manager);
 
     bool reset_freq = false;
-    if (policy == "cstates") {
-        // Keep the idle half of the governor, drop the speed half.
-        joint_->setControlSpeed(false);
-        reset_freq = true;
-    } else if (policy == "s3" || policy == "nopm") {
+    if (!target.joint) {
         // No C-state management in the variant: the governor goes
         // passive (still counting cycles so the evaluation cadence stays
         // identical) and already-descended hierarchies wake.
@@ -565,6 +533,10 @@ ReplaySession::applyVariant(const std::string &policy, std::string *error)
             if (hier != nullptr && host_ptr->isOn())
                 hier->wakeAll();
         }
+    } else if (!target.joint->controlSpeed) {
+        // Keep the idle half of the governor, drop the speed half.
+        joint_->setControlSpeed(false);
+        reset_freq = true;
     }
 
     if (reset_freq) {
@@ -598,39 +570,8 @@ ReplaySession::finish()
     result.manager = manager_->stats();
     result.offeredLoadFraction = offeredLoad_.average();
     result.idealProportionalKwh = idealPower_.integralSeconds() / 3.6e6;
-    result.meanMigrationSeconds = migration_->completedCount() > 0
-                                      ? migration_->durations().mean()
-                                      : 0.0;
-    result.crossRackMigrations = migration_->crossRackCount();
-    if (joint_) {
-        result.jointSpeedTransitions = joint_->speedTransitions();
-        result.jointIdleTransitions = joint_->idleTransitions();
-    }
-    if (usesHierarchy_) {
-        for (const auto &host_ptr : cluster_->hosts()) {
-            power::IdleHierarchy *hier = host_ptr->idleHierarchy();
-            hier->finish(end);
-            result.idleTransitions += hier->transitions();
-            result.idleTransitionJoules += hier->transitionEnergyJoules();
-        }
-    }
-
-    std::vector<double> wake_latencies;
-    for (const auto &host_ptr : cluster_->hosts()) {
-        const std::vector<double> &samples =
-            host_ptr->powerFsm().wakeLatenciesSeconds();
-        wake_latencies.insert(wake_latencies.end(), samples.begin(),
-                              samples.end());
-    }
-    result.wakes = wake_latencies.size();
-    if (!wake_latencies.empty()) {
-        stats::Summary wake_summary;
-        for (const double s : wake_latencies)
-            wake_summary.add(s);
-        result.meanWakeSeconds = wake_summary.mean();
-        result.wakeP99Seconds =
-            stats::percentileExact(std::move(wake_latencies), 0.99);
-    }
+    mgmt::collectRunOutcomes(*cluster_, *migration_, joint_.get(), end,
+                             result);
     result.eventsProcessed = simulator_.eventsProcessed();
     return result;
 }
@@ -682,45 +623,6 @@ restoreCheckpoint(const CheckpointData &ckpt, bool verify,
     return session;
 }
 
-namespace {
-
-/** Branch skeleton mirroring runner.cpp's skeletonCell axis layout. */
-telemetry::SweepCell
-branchSkeleton(const sweep::CellSpec &spec, const ReplaySpec &base)
-{
-    const auto axis_num = [](double v) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%g", v);
-        return std::string(buf);
-    };
-    telemetry::SweepCell cell;
-    cell.id = spec.id;
-    cell.index = spec.index;
-    cell.axes = {
-        {"policy", spec.policy},
-        {"workload", spec.workload},
-        {"exit_latency_s", axis_num(spec.exitLatencyS)},
-        {"load_scale", axis_num(spec.loadScale)},
-        {"hosts", std::to_string(spec.hosts)},
-        {"vms", std::to_string(spec.vms)},
-    };
-    cell.seeds = {base.seed};
-    cell.repeats = 1;
-    return cell;
-}
-
-void
-addSingleSample(telemetry::SweepCell &cell, const std::string &name,
-                double value)
-{
-    telemetry::CellMetric metric;
-    metric.name = name;
-    metric.ci = stats::confidenceInterval({value});
-    cell.metrics.push_back(std::move(metric));
-}
-
-} // namespace
-
 bool
 runBranches(const CheckpointData &ckpt,
             const sweep::SweepManifest &manifest,
@@ -737,9 +639,6 @@ runBranches(const CheckpointData &ckpt,
     ReplaySpec spec;
     if (!parseSpecJson(ckpt.specJson, spec, error))
         return false;
-    if (spec.policy != "joint")
-        return fail("checkpoint was taken with policy '" + spec.policy +
-                    "'; branching needs a 'joint' base");
 
     // The policy axis is the branch dimension; every other axis is fleet
     // geometry, which a mid-run fork cannot change — require singletons
@@ -750,7 +649,7 @@ runBranches(const CheckpointData &ckpt,
     if (manifest.exitLatenciesS.size() != 1 ||
         manifest.exitLatenciesS[0] != spec.exitLatencyS)
         return fail("exit_latency_s must be exactly [" +
-                    numToken(spec.exitLatencyS) +
+                    exactNumber(spec.exitLatencyS) +
                     "] (the checkpoint's blade)");
     if (manifest.loadScales.size() != 1)
         return fail("load_scale must be a singleton (demand comes from "
@@ -773,11 +672,12 @@ runBranches(const CheckpointData &ckpt,
                     "] (the checkpoint's fleet)");
     if (manifest.durationHours != spec.durationHours)
         return fail("duration_hours must equal the spec's " +
-                    numToken(spec.durationHours) +
+                    exactNumber(spec.durationHours) +
                     " (branches race to the same finish line)");
     for (const sweep::CellSpec &cell_spec : cells) {
-        if (cell_spec.policy == "hier")
-            return fail("policy 'hier' is not branchable from 'joint'");
+        const std::string refusal = branchRefusal(spec, cell_spec.policy);
+        if (!refusal.empty())
+            return fail(refusal);
     }
 
     if (options.verify) {
@@ -789,89 +689,38 @@ runBranches(const CheckpointData &ckpt,
             << " us (" << ckpt.eventsProcessed << " events)\n";
     }
 
-    // Branch workers own whole sessions; each simulation must be
-    // single-threaded (same contract as runSweep).
-    sim::setGlobalThreads(1);
-
+    // Branch workers own whole single-threaded sessions.
     out.name = manifest.name;
-    out.threads = options.threads;
     out.exec = "branch";
-    out.cells.assign(cells.size(), telemetry::SweepCell{});
-
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex log_mutex;
     const std::string manifest_hash = sweep::manifestContentHash(manifest);
-
-    const auto worker = [&] {
-        for (;;) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= cells.size())
-                return;
-            const sweep::CellSpec &cell_spec = cells[i];
-            telemetry::SweepCell cell = branchSkeleton(cell_spec, spec);
-            cell.manifestHash = manifest_hash;
-
+    sweep::runCells(
+        cells, options.threads, "branch", log,
+        [&](const sweep::CellSpec &cell_spec, std::string &) {
+            telemetry::SweepCell cell =
+                sweep::cellSkeleton(cell_spec, {spec.seed}, 1, manifest_hash);
             const auto t0 = std::chrono::steady_clock::now();
-            std::string cell_error;
             std::unique_ptr<ReplaySession> session =
-                ReplaySession::create(spec, &cell_error);
-            bool ok = session != nullptr;
-            if (ok) {
+                ReplaySession::create(spec, &cell.error);
+            if (session) {
                 session->runTo(sim::SimTime::micros(ckpt.timeUs));
-                if (cell_spec.policy != "joint")
-                    ok = session->applyVariant(cell_spec.policy,
-                                               &cell_error);
+                if (!session->applyVariant(cell_spec.policy, &cell.error))
+                    session.reset();
             }
-            if (ok) {
-                const mgmt::ScenarioResult result = session->finish();
-                const auto t1 = std::chrono::steady_clock::now();
-                const double ms =
-                    std::chrono::duration<double, std::milli>(t1 - t0)
-                        .count();
-                addSingleSample(cell, "energy_j",
-                                result.metrics.energyKwh * 3.6e6);
-                addSingleSample(cell, "sla_violation_pct",
-                                result.metrics.violationFraction * 100.0);
-                addSingleSample(cell, "wake_p99_s", result.wakeP99Seconds);
-                addSingleSample(cell, "wall_ms", ms);
-                addSingleSample(
-                    cell, "events_per_sec",
-                    ms > 0.0 ? static_cast<double>(result.eventsProcessed) /
-                                   (ms / 1000.0)
-                             : 0.0);
-                cell.status = telemetry::CellStatus::Ok;
-            } else {
+            if (!session) {
                 cell.status = telemetry::CellStatus::Failed;
-                cell.error = cell_error;
+                return cell;
             }
-
-            const std::size_t finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
-            {
-                const std::lock_guard<std::mutex> guard(log_mutex);
-                log << "[branch] " << finished << "/" << cells.size()
-                    << " " << cell_spec.id << " -> "
-                    << telemetry::toString(cell.status)
-                    << (cell.error.empty() ? "" : ": " + cell.error)
-                    << "\n";
-            }
-            out.cells[cell_spec.index] = std::move(cell);
-        }
-    };
-
-    const int workers = std::max(1, options.threads);
-    if (workers == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+            const mgmt::ScenarioResult result = session->finish();
+            const auto t1 = std::chrono::steady_clock::now();
+            sweep::CellSamples samples;
+            samples.addRun(result);
+            samples.addWall(
+                std::chrono::duration<double, std::milli>(t1 - t0).count(),
+                result.eventsProcessed);
+            samples.finish(cell);
+            return cell;
+        },
+        out);
     return true;
 }
 

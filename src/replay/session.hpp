@@ -73,12 +73,13 @@ struct ReplaySpec
     double managerPeriodMin = 15.0;
 
     /**
-     * Policy preset: "nopm" (no power management), "s3" (host sleep
-     * only), "cstates" (idle hierarchy only, hosts stay on), "joint"
-     * (hierarchy + joint speed/sleep governor + host sleep — the only
-     * valid branching base, since every other preset is reachable from
-     * it by disabling knobs), "hier" (hierarchy + idle-only governor,
-     * no load balancing — the hyperscale bench preset).
+     * Policy preset: any registry name (core/policies.hpp), resolved with
+     * this spec's evaluation interval and blade — so "joint" here is the
+     * very configuration a sweep cell or vpm_sim runs under that name.
+     * Presets with a joint governor (cstates, joint, hier) attach the
+     * idle hierarchy. Only "joint", which runs the full governor, is a
+     * valid branching base: every branchable variant is reached from it
+     * by switching knobs off (see applyVariant).
      */
     std::string policy = "joint";
 
@@ -153,12 +154,14 @@ class ReplaySession
     std::uint64_t stateDigest();
 
     /**
-     * Switch to @p policy at the current instant (what-if branching).
-     * Only valid from the "joint" base preset; runtime-safe manager
-     * knobs move via applyPolicyDelta, the joint controller is disabled
-     * or narrowed, lowered frequencies reset to nominal, and idle
-     * hierarchies wake when the variant stops managing them. @return
-     * false with @p error set for an unknown/unreachable variant.
+     * Switch to @p policy at the current instant (what-if branching),
+     * driven by the target preset's data: runtime-safe manager knobs move
+     * via applyPolicyDelta; a preset without a joint governor idles it
+     * and wakes the idle hierarchies, one with the speed half off drops
+     * that half; either way lowered frequencies reset to nominal. Only
+     * valid from a base running the full governor ("joint"). @return
+     * false with @p error set for an unknown/unreachable variant (a
+     * preset that power-manages without balancing, i.e. "hier").
      */
     bool applyVariant(const std::string &policy, std::string *error);
 
@@ -187,7 +190,6 @@ class ReplaySession
     stats::TimeWeighted offeredLoad_;
     stats::TimeWeighted idealPower_;
     double perHostPeakWatts_ = 0.0;
-    bool usesHierarchy_ = false;
     bool started_ = false;
     bool finished_ = false;
 };

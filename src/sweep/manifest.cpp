@@ -1,30 +1,24 @@
 #include "sweep/manifest.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
+#include <iterator>
 #include <istream>
 #include <sstream>
 
+#include "core/policies.hpp"
 #include "telemetry/json_util.hpp"
 
 namespace vpm::sweep {
 
-const std::vector<std::string> kKnownPolicies = {"nopm", "s3", "cstates",
-                                                 "joint"};
+const std::vector<std::string> kKnownPolicies(std::begin(mgmt::kPolicyNames),
+                                              std::end(mgmt::kPolicyNames));
 const std::vector<std::string> kKnownWorkloads = {"steady", "surge"};
 
 namespace {
 
 using telemetry::JsonValue;
-
-/** Compact canonical number form for ids ("15", "0.5", "1e+06"). */
-std::string
-axisNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
 
 bool
 fail(std::string *error, const std::string &message)
@@ -80,7 +74,41 @@ readNumberAxis(const JsonValue *axes, const char *name, double min,
     return true;
 }
 
+/** Integer axis: every value a whole number in [@p min, @p max]. */
+template <typename Int>
+bool
+readIntegerAxis(const JsonValue *axes, const char *name, std::int64_t min,
+                std::int64_t max, std::vector<Int> &out, std::string *error)
+{
+    const JsonValue *axis = axes->find(name);
+    if (!axis)
+        return true;
+    if (!axis->isArray() || axis->array.empty())
+        return fail(error, std::string("axis '") + name +
+                               "' must be a non-empty array");
+    out.clear();
+    for (const JsonValue &value : axis->array) {
+        const std::optional<std::int64_t> parsed =
+            telemetry::integerIn(value, min, max);
+        if (!parsed)
+            return fail(error, std::string("axis '") + name +
+                                   "' wants integers in [" +
+                                   std::to_string(min) + ", " +
+                                   std::to_string(max) + "]");
+        out.push_back(static_cast<Int>(*parsed));
+    }
+    return true;
+}
+
 } // namespace
+
+std::string
+axisNum(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return buf;
+}
 
 std::uint64_t
 SweepManifest::cellCount() const
@@ -107,15 +135,20 @@ parseManifest(std::istream &in, SweepManifest &out, std::string *error)
         return fail(error, "unsupported schema '" + schema +
                                "' (want vpm-sweep-manifest-1)");
 
-    out.name = telemetry::stringOr(root.find("name"), "sweep");
-    out.durationHours =
-        telemetry::numberOr(root.find("duration_hours"), 6.0);
-    if (out.durationHours <= 0.0)
+    out.name = "sweep";
+    out.durationHours = 6.0;
+    out.repeats = 1;
+    if (!telemetry::rejectUnknownMembers(
+            root, {"schema", "name", "duration_hours", "repeats", "axes"},
+            error) ||
+        !telemetry::readMember(root, "name", out.name, error) ||
+        !telemetry::readMember(root, "duration_hours", out.durationHours,
+                               error) ||
+        !telemetry::readInteger(root, "repeats", 1, INT_MAX, out.repeats,
+                                error))
+        return false;
+    if (!(out.durationHours > 0.0))
         return fail(error, "duration_hours must be positive");
-    out.repeats = static_cast<int>(
-        telemetry::numberOr(root.find("repeats"), 1.0));
-    if (out.repeats < 1)
-        return fail(error, "repeats must be >= 1");
 
     // Defaults for every optional axis (single-valued axes collapse in
     // the cross product, so they are free).
@@ -145,30 +178,13 @@ parseManifest(std::istream &in, SweepManifest &out, std::string *error)
     if (!readNumberAxis(axes, "load_scale", 1e-6, out.loadScales, error))
         return false;
 
-    std::vector<double> hosts_axis;
-    std::vector<double> vms_axis;
-    std::vector<double> seeds_axis;
-    if (!readNumberAxis(axes, "hosts", 1.0, hosts_axis, error))
+    if (!readIntegerAxis(axes, "hosts", 1, INT_MAX, out.hostCounts, error))
         return false;
-    if (!readNumberAxis(axes, "vms", 1.0, vms_axis, error))
+    if (!readIntegerAxis(axes, "vms", 1, INT_MAX, out.vmCounts, error))
         return false;
-    if (!readNumberAxis(axes, "seeds", 0.0, seeds_axis, error))
+    if (!readIntegerAxis(axes, "seeds", 0, telemetry::kMaxExactInteger,
+                         out.seeds, error))
         return false;
-    if (!hosts_axis.empty()) {
-        out.hostCounts.clear();
-        for (const double h : hosts_axis)
-            out.hostCounts.push_back(static_cast<int>(h));
-    }
-    if (!vms_axis.empty()) {
-        out.vmCounts.clear();
-        for (const double v : vms_axis)
-            out.vmCounts.push_back(static_cast<int>(v));
-    }
-    if (!seeds_axis.empty()) {
-        out.seeds.clear();
-        for (const double s : seeds_axis)
-            out.seeds.push_back(static_cast<std::uint64_t>(s));
-    }
 
     // Reject axes we do not understand: a typo ("exit_latency") must not
     // silently sweep nothing.

@@ -11,7 +11,7 @@
  *       "duration_hours": 6.0,
  *       "repeats": 3,                    // wall-clock samples per cell
  *       "axes": {
- *         "policy": ["joint", "s3", "cstates"],
+ *         "policy": ["joint", "s3", "cstates"], // registry names
  *         "workload": ["steady", "surge"],
  *         "exit_latency_s": [15, 120, 600],
  *         "load_scale": [0.5],           // optional, default [0.5]
@@ -29,6 +29,15 @@
  * position in that expansion — both are therefore functions of the
  * manifest alone, never of --threads or scheduling.
  *
+ * A policy value is any name of the policy registry (core/policies.hpp),
+ * resolved on the cell's rig — the blade with the synthetic deep state at
+ * the cell's exit latency, evaluated every minute — so "joint" here is
+ * the configuration vpm_sim, F11 and replay run under that name.
+ *
+ * The reader is strict: an unknown key, a value of the wrong JSON type,
+ * or a count (hosts, vms, repeats, seeds) that is not a whole number in
+ * range rejects the manifest instead of falling back to a default.
+ *
  * Seeds are deliberately not a grid axis: the simulator is deterministic
  * given a seed, so re-running a cell cannot produce new values — the seed
  * list IS the cell's sample set for the deterministic metrics (energy,
@@ -45,8 +54,12 @@
 
 namespace vpm::sweep {
 
-/** Policies a cell can run (the F11 grid plus the NoPM baseline). */
+/** Policies a cell can run: the policy registry's names. */
 extern const std::vector<std::string> kKnownPolicies;
+
+/** Compact canonical number form (%g) for cell ids and report cells:
+ *  "15", "0.5", "1e+06". */
+std::string axisNum(double v);
 
 /** Workload shapes a cell can run. */
 extern const std::vector<std::string> kKnownWorkloads;
@@ -91,8 +104,9 @@ struct CellSpec
 /**
  * Parse a manifest.
  * @return false with @p error set on malformed JSON, a schema mismatch,
- *         an unknown policy/workload, or a degenerate axis (empty list,
- *         non-positive counts/durations, repeats < 1).
+ *         an unknown key, policy or workload, a mistyped value, or a
+ *         degenerate axis (empty list, non-positive durations, counts that
+ *         are not whole numbers in range, repeats < 1).
  */
 bool parseManifest(std::istream &in, SweepManifest &out,
                    std::string *error);

@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <ostream>
 
 #include "stats/table.hpp"
+#include "sweep/manifest.hpp"
 
 namespace vpm::sweep {
 
 namespace {
-
-/** %g form: compact, locale-free, round-trip-stable for our use. */
-std::string
-num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
 
 /** "point [lo, hi]" for table cells. */
 std::string
@@ -26,8 +19,9 @@ ciCell(const stats::ConfidenceInterval &ci)
     if (ci.empty())
         return "-";
     if (ci.width() == 0.0)
-        return num(ci.point);
-    return num(ci.point) + " [" + num(ci.lo) + ", " + num(ci.hi) + "]";
+        return axisNum(ci.point);
+    return axisNum(ci.point) + " [" + axisNum(ci.lo) + ", " +
+           axisNum(ci.hi) + "]";
 }
 
 double
@@ -149,9 +143,9 @@ writeParetoText(const ParetoReport &report, std::ostream &out)
         out << "\ngroup " << group.key << "\n";
         for (const ParetoEntry &entry : group.entries) {
             out << "  " << (entry.onFrontier ? "*" : " ") << " "
-                << entry.policy << ": energy " << num(entry.energyJ)
-                << " J, SLA viol " << num(entry.slaViolationPct)
-                << "%, wake p99 " << num(entry.wakeP99S) << " s";
+                << entry.policy << ": energy " << axisNum(entry.energyJ)
+                << " J, SLA viol " << axisNum(entry.slaViolationPct)
+                << "%, wake p99 " << axisNum(entry.wakeP99S) << " s";
             if (!entry.onFrontier) {
                 out << "  <- dominated by " << entry.dominatedBy
                     << (entry.ciSeparated ? " (CIs separated)"
@@ -214,8 +208,8 @@ writePolicyCsv(const telemetry::SweepMatrix &matrix, std::ostream &out)
         for (const char *name : metrics) {
             const telemetry::CellMetric *metric = cell.metric(name);
             if (metric) {
-                out << "," << num(metric->ci.point) << ","
-                    << num(metric->ci.lo) << "," << num(metric->ci.hi)
+                out << "," << axisNum(metric->ci.point) << ","
+                    << axisNum(metric->ci.lo) << "," << axisNum(metric->ci.hi)
                     << "," << metric->ci.n;
             } else {
                 out << ",,,,";
@@ -223,6 +217,30 @@ writePolicyCsv(const telemetry::SweepMatrix &matrix, std::ostream &out)
         }
         out << "\n";
     }
+}
+
+std::size_t
+writeArtifacts(const telemetry::SweepMatrix &matrix, const std::string &dir)
+{
+    {
+        std::ofstream out(dir + "/matrix.json");
+        telemetry::writeSweepJson(matrix, out);
+    }
+    {
+        std::ofstream out(dir + "/report.txt");
+        writePolicyTable(matrix, out);
+        out << "\n";
+        writeParetoText(paretoFrontier(matrix), out);
+    }
+    {
+        std::ofstream out(dir + "/report.csv");
+        writePolicyCsv(matrix, out);
+    }
+    std::size_t failed = 0;
+    for (const telemetry::SweepCell &cell : matrix.cells)
+        if (cell.status != telemetry::CellStatus::Ok)
+            ++failed;
+    return failed;
 }
 
 } // namespace vpm::sweep

@@ -77,6 +77,14 @@ void writePolicyTable(const telemetry::SweepMatrix &matrix,
 void writePolicyCsv(const telemetry::SweepMatrix &matrix,
                     std::ostream &out);
 
+/**
+ * Write the artifact set sweep and replay branch share into @p dir:
+ * matrix.json (vpm-sweep-1), report.txt (policy table + Pareto frontier)
+ * and report.csv. @return the number of cells that did not finish ok.
+ */
+std::size_t writeArtifacts(const telemetry::SweepMatrix &matrix,
+                           const std::string &dir);
+
 } // namespace vpm::sweep
 
 #endif // VPM_SWEEP_REPORT_HPP

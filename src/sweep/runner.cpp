@@ -18,6 +18,7 @@
 
 #include "core/scenario.hpp"
 #include "power/server_models.hpp"
+#include "simcore/logging.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/ci.hpp"
 #include "workload/demand_trace.hpp"
@@ -25,14 +26,6 @@
 namespace vpm::sweep {
 
 namespace {
-
-std::string
-axisNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
 
 /**
  * The cell -> scenario mapping, modeled on the F11 policy grid so sweep
@@ -70,53 +63,18 @@ buildScenario(const SweepManifest &manifest, const CellSpec &spec,
             };
     }
 
-    if (spec.policy == "nopm") {
-        config.manager = mgmt::makePolicy(mgmt::PolicyKind::NoPM);
-        return config;
-    }
-
-    // The three PM policies share the consolidating manager setup.
-    config.manager = mgmt::makePolicy(mgmt::PolicyKind::PmS3);
-    config.manager.sleepState = "SYNTH";
+    // Manifest parsing admits registry names only.
+    if (!mgmt::applyPolicy(config, spec.policy))
+        sim::fatal("sweep: unknown policy '%s'", spec.policy.c_str());
     config.manager.period = sim::SimTime::minutes(1.0);
-
-    if (spec.policy == "s3")
-        return config; // S3-only: whole-host sleep, no hierarchy
-
-    if (spec.policy == "cstates") {
-        // Same manager, but drained hosts park at the bottom of the
-        // hierarchy instead of sleeping — C-states are the only lever.
-        config.manager.hostSleep = false;
-        config.idleHierarchy = power::modernIdleHierarchy();
-        mgmt::JointPolicyConfig idle_only;
-        idle_only.controlSpeed = false;
-        config.jointPolicy = idle_only;
-        return config;
-    }
-
-    // joint: hierarchy + speed/sleep governor + parked reserve.
-    config.idleHierarchy = power::modernIdleHierarchy();
-    mgmt::JointPolicyConfig joint_policy;
-    joint_policy.speedWindowCycles = 15;
-    joint_policy.speedSurgeGuard = 2.0;
-    config.jointPolicy = joint_policy;
-    config.manager.parkedReserve = 3;
     return config;
 }
 
-void
-addMetric(telemetry::SweepCell &cell, const std::string &name,
-          const std::vector<double> &samples)
-{
-    telemetry::CellMetric metric;
-    metric.name = name;
-    metric.ci = stats::confidenceInterval(samples);
-    cell.metrics.push_back(std::move(metric));
-}
+} // namespace
 
 telemetry::SweepCell
-skeletonCell(const CellSpec &spec, const SweepManifest &manifest,
-             int repeats)
+cellSkeleton(const CellSpec &spec, const std::vector<std::uint64_t> &seeds,
+             int repeats, const std::string &manifest_hash)
 {
     telemetry::SweepCell cell;
     cell.id = spec.id;
@@ -129,25 +87,104 @@ skeletonCell(const CellSpec &spec, const SweepManifest &manifest,
         {"hosts", std::to_string(spec.hosts)},
         {"vms", std::to_string(spec.vms)},
     };
-    cell.seeds = manifest.seeds;
+    cell.seeds = seeds;
     cell.repeats = repeats;
-    cell.manifestHash = manifestContentHash(manifest);
+    cell.manifestHash = manifest_hash;
     return cell;
 }
 
-} // namespace
+void
+CellSamples::addRun(const mgmt::ScenarioResult &result)
+{
+    energyJ.push_back(result.metrics.energyKwh * 3.6e6);
+    slaViolationPct.push_back(result.metrics.violationFraction * 100.0);
+    wakeP99S.push_back(result.wakeP99Seconds);
+}
+
+void
+CellSamples::addWall(double ms, std::uint64_t events)
+{
+    wallMs.push_back(ms);
+    eventsPerSec.push_back(
+        ms > 0.0 ? static_cast<double>(events) / (ms / 1000.0) : 0.0);
+}
+
+void
+CellSamples::finish(telemetry::SweepCell &cell) const
+{
+    const std::pair<const char *, const std::vector<double> *> series[] = {
+        {"energy_j", &energyJ},   {"sla_violation_pct", &slaViolationPct},
+        {"wake_p99_s", &wakeP99S}, {"wall_ms", &wallMs},
+        {"events_per_sec", &eventsPerSec}};
+    for (const auto &[name, samples] : series) {
+        telemetry::CellMetric metric;
+        metric.name = name;
+        metric.ci = stats::confidenceInterval(*samples);
+        cell.metrics.push_back(std::move(metric));
+    }
+    cell.status = telemetry::CellStatus::Ok;
+}
+
+void
+runCells(const std::vector<CellSpec> &cells, int threads, const char *tag,
+         std::ostream &log, const CellBody &body,
+         telemetry::SweepMatrix &out)
+{
+    // Each cell's simulation must be single-threaded: the cell workers
+    // ARE the parallelism. This also forces the lazy global pool to
+    // initialize before any worker races to do it.
+    sim::setGlobalThreads(1);
+
+    out.threads = threads;
+    out.cells.assign(cells.size(), telemetry::SweepCell{});
+
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<std::size_t> done{0};
+    std::mutex log_mutex;
+    const auto worker = [&] {
+        for (;;) {
+            const std::size_t i =
+                cursor.fetch_add(1, std::memory_order_relaxed);
+            if (i >= cells.size())
+                return;
+            const CellSpec &spec = cells[i];
+            std::string note;
+            telemetry::SweepCell cell = body(spec, note);
+
+            const std::size_t finished =
+                done.fetch_add(1, std::memory_order_relaxed) + 1;
+            {
+                const std::lock_guard<std::mutex> guard(log_mutex);
+                log << "[" << tag << "] " << finished << "/"
+                    << cells.size() << " " << spec.id << " -> "
+                    << telemetry::toString(cell.status)
+                    << (note.empty() ? "" : " " + note)
+                    << (cell.error.empty() ? "" : ": " + cell.error)
+                    << "\n";
+            }
+            out.cells[spec.index] = std::move(cell);
+        }
+    };
+
+    const int workers = std::max(1, threads);
+    if (workers == 1) {
+        worker();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w)
+        pool.emplace_back(worker);
+    for (std::thread &t : pool)
+        t.join();
+}
 
 telemetry::SweepCell
 runCell(const SweepManifest &manifest, const CellSpec &spec, int repeats)
 {
-    telemetry::SweepCell cell = skeletonCell(spec, manifest, repeats);
-
-    std::vector<double> energy_j;
-    std::vector<double> sla_pct;
-    std::vector<double> wake_p99;
-    std::vector<double> wall_ms;
-    std::vector<double> events_per_sec;
-
+    telemetry::SweepCell cell = cellSkeleton(
+        spec, manifest.seeds, repeats, manifestContentHash(manifest));
+    CellSamples samples;
     for (int repeat = 0; repeat < repeats; ++repeat) {
         const auto t0 = std::chrono::steady_clock::now();
         std::uint64_t events = 0;
@@ -155,30 +192,18 @@ runCell(const SweepManifest &manifest, const CellSpec &spec, int repeats)
             const mgmt::ScenarioResult result =
                 mgmt::runScenario(buildScenario(manifest, spec, seed));
             events += result.eventsProcessed;
-            if (repeat == 0) {
-                // Deterministic metrics: one sample per seed; later
-                // repeats reproduce these values bit-for-bit, so only
-                // the wall clock below gains information from them.
-                energy_j.push_back(result.metrics.energyKwh * 3.6e6);
-                sla_pct.push_back(result.metrics.violationFraction *
-                                  100.0);
-                wake_p99.push_back(result.wakeP99Seconds);
-            }
+            // Deterministic metrics: one sample per seed; later repeats
+            // reproduce these values bit-for-bit, so only the wall clock
+            // gains information from them.
+            if (repeat == 0)
+                samples.addRun(result);
         }
         const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        wall_ms.push_back(ms);
-        events_per_sec.push_back(
-            ms > 0.0 ? static_cast<double>(events) / (ms / 1000.0) : 0.0);
+        samples.addWall(
+            std::chrono::duration<double, std::milli>(t1 - t0).count(),
+            events);
     }
-
-    addMetric(cell, "energy_j", energy_j);
-    addMetric(cell, "sla_violation_pct", sla_pct);
-    addMetric(cell, "wake_p99_s", wake_p99);
-    addMetric(cell, "wall_ms", wall_ms);
-    addMetric(cell, "events_per_sec", events_per_sec);
-    cell.status = telemetry::CellStatus::Ok;
+    samples.finish(cell);
     return cell;
 }
 
@@ -244,7 +269,8 @@ telemetry::SweepCell
 runCellProcess(const SweepManifest &manifest, const CellSpec &spec,
                int repeats, const RunOptions &options)
 {
-    telemetry::SweepCell cell = skeletonCell(spec, manifest, repeats);
+    telemetry::SweepCell cell = cellSkeleton(
+        spec, manifest.seeds, repeats, manifestContentHash(manifest));
     const std::string cell_out = cellFilePath(options.outDir, spec.index);
     const std::string index_str = std::to_string(spec.index);
     const std::string repeats_str = std::to_string(repeats);
@@ -361,79 +387,34 @@ runSweep(const SweepManifest &manifest, const std::vector<CellSpec> &cells,
     }
 #endif
 
-    // Each cell's simulation must be single-threaded: the cell worker
-    // threads ARE the parallelism. This also forces the lazy global pool
-    // to initialize before any worker races to do it.
-    sim::setGlobalThreads(1);
-
     out.name = manifest.name;
-    out.threads = options.threads;
     out.exec = options.exec == ExecMode::InProc ? "inproc" : "process";
-    out.cells.assign(cells.size(), telemetry::SweepCell{});
-
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex log_mutex;
     const std::string manifest_hash = manifestContentHash(manifest);
-
-    const auto worker = [&] {
-        for (;;) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= cells.size())
-                return;
-            const CellSpec &spec = cells[i];
-            const std::string path =
-                cellFilePath(options.outDir, spec.index);
-
-            telemetry::SweepCell cell;
-            bool resumed = false;
-            bool stale = false;
-            if (options.resume &&
-                tryResume(path, spec, manifest_hash, cell, stale)) {
-                resumed = true;
-            } else {
-                if (stale) {
-                    const std::lock_guard<std::mutex> guard(log_mutex);
-                    log << "[sweep] " << spec.id
-                        << ": stale cell (manifest changed), re-running\n";
-                }
+    runCells(cells, options.threads, "sweep", log,
+             [&](const CellSpec &spec, std::string &note) {
+                 const std::string path =
+                     cellFilePath(options.outDir, spec.index);
+                 telemetry::SweepCell cell;
+                 bool stale = false;
+                 if (options.resume &&
+                     tryResume(path, spec, manifest_hash, cell, stale)) {
+                     note = "(resumed)";
+                     return cell;
+                 }
+                 if (stale)
+                     note = "(re-ran stale cell (manifest changed))";
 #if !defined(_WIN32)
-                if (options.exec == ExecMode::Process)
-                    cell = runCellProcess(manifest, spec, repeats, options);
-                else
-                    cell = runCell(manifest, spec, repeats);
+                 if (options.exec == ExecMode::Process)
+                     cell = runCellProcess(manifest, spec, repeats, options);
+                 else
+                     cell = runCell(manifest, spec, repeats);
 #else
-                cell = runCell(manifest, spec, repeats);
+                 cell = runCell(manifest, spec, repeats);
 #endif
-                persistCell(path, cell);
-            }
-
-            const std::size_t finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
-            {
-                const std::lock_guard<std::mutex> guard(log_mutex);
-                log << "[sweep] " << finished << "/" << cells.size() << " "
-                    << spec.id << " -> " << toString(cell.status)
-                    << (resumed ? " (resumed)" : "")
-                    << (cell.error.empty() ? "" : ": " + cell.error)
-                    << "\n";
-            }
-            out.cells[spec.index] = std::move(cell);
-        }
-    };
-
-    const int workers = std::max(1, options.threads);
-    if (workers == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers));
-        for (int i = 0; i < workers; ++i)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+                 persistCell(path, cell);
+                 return cell;
+             },
+             out);
     return true;
 }
 

@@ -31,12 +31,18 @@
 #ifndef VPM_SWEEP_RUNNER_HPP
 #define VPM_SWEEP_RUNNER_HPP
 
+#include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "sweep/manifest.hpp"
 #include "telemetry/sweep_matrix.hpp"
+
+namespace vpm::mgmt {
+struct ScenarioResult;
+}
 
 namespace vpm::sweep {
 
@@ -63,6 +69,57 @@ struct RunOptions
     /** Manifest path handed to child processes. */
     std::string manifestPath;
 };
+
+/**
+ * A cell's identity without metrics: id, index, the six axis labels,
+ * seeds, repeats and manifest stamp. Sweep cells and replay branch cells
+ * share this shape, so either matrix feeds the same reports and gates.
+ */
+telemetry::SweepCell cellSkeleton(const CellSpec &spec,
+                                  const std::vector<std::uint64_t> &seeds,
+                                  int repeats,
+                                  const std::string &manifest_hash);
+
+/**
+ * The five cell metrics, as samples: the deterministic ones gain one
+ * sample per seeded run, the wall-clock ones one per timed repeat.
+ */
+struct CellSamples
+{
+    std::vector<double> energyJ;
+    std::vector<double> slaViolationPct;
+    std::vector<double> wakeP99S;
+    std::vector<double> wallMs;
+    std::vector<double> eventsPerSec;
+
+    /** Energy, SLA violation and wake p99 of one run. */
+    void addRun(const mgmt::ScenarioResult &result);
+
+    /** One timed repeat: @p ms of wall time that dispatched @p events. */
+    void addWall(double ms, std::uint64_t events);
+
+    /** Append the five interval metrics to @p cell and mark it Ok. */
+    void finish(telemetry::SweepCell &cell) const;
+};
+
+/** One cell's work: returns the finished cell and may set @p note, which
+ *  is appended to the cell's progress line. Runs on a worker thread. */
+using CellBody =
+    std::function<telemetry::SweepCell(const CellSpec &spec,
+                                       std::string &note)>;
+
+/**
+ * The cell runner sweep and replay branch share: @p threads workers pull
+ * cell indices from an atomic cursor and run @p body; results land in
+ * @p out.cells at their canonical index, and each finished cell logs one
+ * "[tag] k/n id -> status" line to @p log. Pins the global simulation
+ * pool to one thread first: each cell is single-threaded, the workers
+ * are the parallelism. Sets out.threads; out.name and out.exec are the
+ * caller's.
+ */
+void runCells(const std::vector<CellSpec> &cells, int threads,
+              const char *tag, std::ostream &log, const CellBody &body,
+              telemetry::SweepMatrix &out);
 
 /**
  * Run ONE cell in-process: repeats × seeds scenario executions,

@@ -19,6 +19,7 @@
 #define VPM_TELEMETRY_EVENT_JOURNAL_HPP
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -180,7 +181,9 @@ class EventJournal
      * Give a (domain, id) timeline a display name (e.g. host 3 ->
      * "host03"). Registration is init-time and idempotent; it works even
      * while disabled so tracks named at construction keep their names if
-     * telemetry is enabled later.
+     * telemetry is enabled later. The registry is locked: concurrent
+     * sessions (sweep cells, replay branches) build hosts, and so name
+     * tracks, on several threads at once.
      */
     void registerTrack(TrackDomain domain, std::int32_t track,
                        std::string_view name);
@@ -294,6 +297,7 @@ class EventJournal
     std::vector<std::string> labels_{std::string()};
     std::unordered_map<std::string, LabelId> labelIndex_{{std::string(), 0}};
 
+    mutable std::mutex trackMutex_; ///< guards the two track fields
     std::unordered_map<std::uint64_t, std::string> trackNames_;
     std::int32_t nextAllocatedTrack_ = 1 << 20;
 };

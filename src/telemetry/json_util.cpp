@@ -1,7 +1,10 @@
 #include "telemetry/json_util.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
@@ -312,6 +315,129 @@ boolOr(const JsonValue *value, bool fallback)
 {
     return value && value->kind == JsonValue::Kind::Bool ? value->boolean
                                                          : fallback;
+}
+
+std::string
+exactNumber(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::optional<double>
+findNumber(const std::string &line, std::string_view key)
+{
+    std::string needle = "\"";
+    needle.append(key).append("\":");
+    const std::size_t pos = line.find(needle);
+    if (pos == std::string::npos)
+        return std::nullopt;
+    const char *start = line.c_str() + pos + needle.size();
+    char *end = nullptr;
+    const double value = std::strtod(start, &end);
+    if (end == start)
+        return std::nullopt;
+    return value;
+}
+
+std::optional<std::string>
+findString(const std::string &line, std::string_view key)
+{
+    std::string needle = "\"";
+    needle.append(key).append("\":\"");
+    const std::size_t pos = line.find(needle);
+    if (pos == std::string::npos)
+        return std::nullopt;
+    std::string out;
+    for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
+        const char c = line[i];
+        if (c == '\\' && i + 1 < line.size()) {
+            out += line[++i];
+        } else if (c == '"') {
+            return out;
+        } else {
+            out += c;
+        }
+    }
+    return std::nullopt;
+}
+
+std::optional<std::int64_t>
+integerIn(const JsonValue &value, std::int64_t min, std::int64_t max)
+{
+    if (value.kind != JsonValue::Kind::Number ||
+        value.number != std::floor(value.number) ||
+        value.number < static_cast<double>(min) ||
+        value.number > static_cast<double>(max))
+        return std::nullopt;
+    return static_cast<std::int64_t>(value.number);
+}
+
+namespace {
+
+bool
+wrongKind(const char *key, const char *kind, std::string *error)
+{
+    if (error != nullptr)
+        *error = std::string("'") + key + "' must be " + kind;
+    return false;
+}
+
+} // namespace
+
+bool
+readMember(const JsonValue &obj, const char *key, std::string &out,
+           std::string *error)
+{
+    const JsonValue *value = obj.find(key);
+    if (value == nullptr)
+        return true;
+    if (value->kind != JsonValue::Kind::String)
+        return wrongKind(key, "a string", error);
+    out = value->string;
+    return true;
+}
+
+bool
+readMember(const JsonValue &obj, const char *key, double &out,
+           std::string *error)
+{
+    const JsonValue *value = obj.find(key);
+    if (value == nullptr)
+        return true;
+    if (value->kind != JsonValue::Kind::Number)
+        return wrongKind(key, "a number", error);
+    out = value->number;
+    return true;
+}
+
+bool
+readMember(const JsonValue &obj, const char *key, bool &out,
+           std::string *error)
+{
+    const JsonValue *value = obj.find(key);
+    if (value == nullptr)
+        return true;
+    if (value->kind != JsonValue::Kind::Bool)
+        return wrongKind(key, "true or false", error);
+    out = value->boolean;
+    return true;
+}
+
+bool
+rejectUnknownMembers(const JsonValue &obj,
+                     std::initializer_list<std::string_view> known,
+                     std::string *error)
+{
+    for (const auto &[key, value] : obj.object) {
+        if (std::find(known.begin(), known.end(), key) == known.end()) {
+            if (error != nullptr)
+                *error = "unknown key '" + key + "'";
+            return false;
+        }
+    }
+    return true;
 }
 
 } // namespace vpm::telemetry

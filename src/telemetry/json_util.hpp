@@ -22,13 +22,19 @@
 #ifndef VPM_TELEMETRY_JSON_UTIL_HPP
 #define VPM_TELEMETRY_JSON_UTIL_HPP
 
+#include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 namespace vpm::telemetry {
+
+/** %.17g: the exact, locale-free JSON form of @p v (byte-stable). */
+std::string exactNumber(double v);
 
 /** Escaped form of @p s for a JSON string literal (no surrounding quotes). */
 std::string jsonEscape(std::string_view s);
@@ -88,6 +94,66 @@ bool parseJson(const std::string &text, JsonValue &out, std::string *error);
 double numberOr(const JsonValue *value, double fallback);
 std::string stringOr(const JsonValue *value, const std::string &fallback);
 bool boolOr(const JsonValue *value, bool fallback);
+///@}
+
+/** @name Flat JSONL field scans
+ *  For one-object-per-line journals: the value of a top-level
+ *  "key":<number> or "key":"string" pair, found by text search without a
+ *  full parse (string escapes are undone only as far as the journal's
+ *  label vocabulary needs); std::nullopt when absent. */
+///@{
+std::optional<double> findNumber(const std::string &line,
+                                 std::string_view key);
+std::optional<std::string> findString(const std::string &line,
+                                      std::string_view key);
+///@}
+
+/** Largest integer a JSON number (an IEEE double) holds exactly: 2^53. */
+inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+/** @p value as an integer in [@p min, @p max]: a number with no
+ *  fractional part, in range — never a truncating or overflowing cast. */
+std::optional<std::int64_t> integerIn(const JsonValue &value,
+                                      std::int64_t min, std::int64_t max);
+
+/** @name Strict member reads for schema'd inputs (specs, manifests)
+ *  Each reads member @p key of object @p obj into @p out. An absent
+ *  member leaves @p out as it is; a member of the wrong JSON kind — or,
+ *  for integers, a fractional or out-of-range number — returns false
+ *  with @p error naming the member, so a typo or a quoted number is a
+ *  rejection, never a silent default. */
+///@{
+bool readMember(const JsonValue &obj, const char *key, std::string &out,
+                std::string *error);
+bool readMember(const JsonValue &obj, const char *key, double &out,
+                std::string *error);
+bool readMember(const JsonValue &obj, const char *key, bool &out,
+                std::string *error);
+
+template <typename Int>
+bool
+readInteger(const JsonValue &obj, const char *key, std::int64_t min,
+            std::int64_t max, Int &out, std::string *error)
+{
+    const JsonValue *value = obj.find(key);
+    if (value == nullptr)
+        return true;
+    const std::optional<std::int64_t> parsed = integerIn(*value, min, max);
+    if (!parsed) {
+        if (error != nullptr)
+            *error = std::string("'") + key + "' must be an integer in [" +
+                     std::to_string(min) + ", " + std::to_string(max) + "]";
+        return false;
+    }
+    out = static_cast<Int>(*parsed);
+    return true;
+}
+
+/** False with @p error naming the first member of @p obj whose key is
+ *  not in @p known. */
+bool rejectUnknownMembers(const JsonValue &obj,
+                          std::initializer_list<std::string_view> known,
+                          std::string *error);
 ///@}
 
 } // namespace vpm::telemetry

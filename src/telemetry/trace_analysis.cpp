@@ -12,6 +12,7 @@
 #include <set>
 
 #include "telemetry/event_journal.hpp"
+#include "telemetry/json_util.hpp"
 
 namespace vpm::telemetry {
 
@@ -27,57 +28,6 @@ fmtDouble(double v)
     else
         std::snprintf(buf, sizeof(buf), "%.6g", v);
     return buf;
-}
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-/** Value of a top-level "key":<number> pair, if present. */
-std::optional<double>
-findNumber(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    const char *start = line.c_str() + pos + needle.size();
-    char *end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start)
-        return std::nullopt;
-    return value;
-}
-
-/** Value of a top-level "key":"string" pair, if present. */
-std::optional<std::string>
-findString(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":\"";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    std::string out;
-    for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
-        const char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            out += line[++i];
-        } else if (c == '"') {
-            return out;
-        } else {
-            out += c;
-        }
-    }
-    return std::nullopt;
 }
 
 double

@@ -1,13 +1,16 @@
 #include "telemetry/trace_context.hpp"
 
+#include <atomic>
+
 namespace vpm::telemetry {
 
 namespace {
 
-// Single-threaded by design (see header); plain globals keep the common
-// path — a schedule() capturing the context — down to two loads.
-TraceContext g_current;
-std::uint64_t g_nextDecisionId = 1;
+// Per thread (see header): a simulation runs on one thread, and sessions
+// on other threads must not see its context. Trivially constructible, so
+// the common path — a schedule() capturing the context — stays two loads.
+thread_local TraceContext g_current;
+std::atomic<std::uint64_t> g_nextDecisionId{1};
 
 } // namespace
 

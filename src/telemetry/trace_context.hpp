@@ -2,9 +2,11 @@
  * @file
  * Causal trace context: which decision an emission is happening "because of".
  *
- * The simulator is single-threaded, so causality is ambient: whatever
- * decision id is installed while code runs is the cause of everything that
- * code emits or schedules. `EventQueue::schedule()` captures the current
+ * A simulation runs on one thread, so causality is ambient: whatever
+ * decision id is installed while code runs on that thread is the cause of
+ * everything that code emits or schedules. The context is thread-local:
+ * concurrent sessions (sweep cells, replay branches) each see only their
+ * own, and a thread outside any scope reads {0, 0}. `EventQueue::schedule()` captures the current
  * context into the scheduled event and `Simulator::dispatchOne()` reinstalls
  * it around the callback, so context flows through arbitrarily deep event
  * chains (entry -> latched wake -> exit -> retry) without any plumbing in
@@ -12,9 +14,13 @@
  * every record, which is how journal rows gain their `cause` field for free.
  *
  * Decision ids are minted by the management layer (one per sleep / wake /
- * migration-batch decision) from a process-global counter that is never
- * reset, so ids stay unique across the back-to-back per-policy runs a bench
- * performs even though simulated time restarts at zero.
+ * migration-batch decision) from a process-global atomic counter that is
+ * never reset, so ids stay unique across the back-to-back per-policy runs
+ * a bench performs even though simulated time restarts at zero, and
+ * across sessions running concurrently on several threads. Ids are dense
+ * and reproducible only while one session mints at a time: concurrent
+ * sessions interleave their draws, so their ids stay unique but depend
+ * on scheduling.
  */
 
 #ifndef VPM_TELEMETRY_TRACE_CONTEXT_HPP
@@ -35,13 +41,14 @@ struct TraceContext
     std::uint64_t causeSeq = 0;
 };
 
-/** The context installed right now ({0, 0} outside any scope). */
+/** The context installed on this thread ({0, 0} outside any scope). */
 TraceContext currentContext();
 
-/** Replace the current context (prefer TraceScope, which restores). */
+/** Replace this thread's context (prefer TraceScope, which restores). */
 void setCurrentContext(TraceContext context);
 
-/** Mint a fresh decision id (monotonic from 1, never reset). */
+/** Mint a fresh decision id (from 1, never reset, unique process-wide;
+ *  safe to call from concurrent sessions). */
 std::uint64_t newDecisionId();
 
 /**

@@ -94,8 +94,9 @@ TEST(IsotonicTest, OutputAlwaysMonotoneAndMeanPreserving)
         double mean_out = 0.0;
         for (std::size_t i = 0; i < output.size(); ++i) {
             mean_out += output[i];
-            if (i > 0)
+            if (i > 0) {
                 ASSERT_GE(output[i], output[i - 1] - 1e-12);
+            }
         }
         EXPECT_NEAR(mean_out, mean_in, 1e-6);
     }

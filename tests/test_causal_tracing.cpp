@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datacenter/cluster.hpp"
@@ -42,6 +44,38 @@ TEST(TraceContextTest, DecisionIdsAreUniqueAndMonotonic)
     const std::uint64_t b = telemetry::newDecisionId();
     EXPECT_GT(a, 0u);
     EXPECT_GT(b, a);
+}
+
+TEST(TraceContextTest, ContextIsPerThreadAndIdsStayUnique)
+{
+    // Concurrent sessions each see only their own context, and the ids
+    // they mint never collide.
+    const telemetry::TraceScope scope(telemetry::TraceContext{5, 1});
+    constexpr int kPerThread = 1000;
+    std::vector<std::uint64_t> ids[2];
+    telemetry::TraceContext seen[2];
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 2; ++w) {
+        workers.emplace_back([&, w] {
+            seen[w] = telemetry::currentContext();
+            const telemetry::TraceScope own(
+                telemetry::TraceContext{100u + static_cast<unsigned>(w), 0});
+            for (int i = 0; i < kPerThread; ++i)
+                ids[w].push_back(telemetry::newDecisionId());
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    for (const telemetry::TraceContext &context : seen) {
+        EXPECT_EQ(context.cause, 0u);
+        EXPECT_EQ(context.causeSeq, 0u);
+    }
+    EXPECT_EQ(telemetry::currentContext().cause, 5u);
+    EXPECT_EQ(telemetry::currentContext().causeSeq, 1u);
+    std::vector<std::uint64_t> all = ids[0];
+    all.insert(all.end(), ids[1].begin(), ids[1].end());
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
 }
 
 TEST(TraceContextTest, SetCauseSeqUpdatesAmbientContext)

@@ -20,6 +20,7 @@
 #include "replay/trace_file.hpp"
 #include "sweep/manifest.hpp"
 #include "telemetry/sweep_matrix.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace vpm::replay {
 namespace {
@@ -99,16 +100,65 @@ TEST(ReplaySpecTest, JsonRoundTripIsByteStable)
     EXPECT_EQ(writeSpecJson(parsed), first);
 }
 
+/** @p text with the first @p from replaced by @p to. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
 TEST(ReplaySpecTest, ParseRejectsGarbageAndWrongSchema)
 {
+    // Each row is refused up front (tools/replay exits 3) instead of
+    // running a silently different spec.
+    const std::string valid = writeSpecJson(baseSpec("/tmp/t.vpmtrc"));
+    const struct
+    {
+        const char *what;
+        std::string text;
+        const char *errorNames;
+    } rows[] = {
+        {"garbage", "not json at all", ""},
+        {"wrong schema", "{\"schema\": \"something-else\"}", "schema"},
+        {"misspelled key",
+         replaced(valid, "\"policy\": \"joint\"", "\"polcy\": \"nopm\""),
+         "polcy"},
+        {"quoted count and numeric policy",
+         replaced(replaced(valid, "\"hosts\": 4", "\"hosts\": \"4000\""),
+                  "\"policy\": \"joint\"", "\"policy\": 7"),
+         "hosts"},
+        {"numeric policy", replaced(valid, "\"policy\": \"joint\"",
+                                    "\"policy\": 7"),
+         "policy"},
+        {"fractional count", replaced(valid, "\"hosts\": 4",
+                                      "\"hosts\": 2.7"),
+         "hosts"},
+        {"count beyond int", replaced(valid, "\"hosts\": 4",
+                                      "\"hosts\": 1e12"),
+         "hosts"},
+        {"negative seed", replaced(valid, "\"seed\": 7", "\"seed\": -1"),
+         "seed"},
+        {"quoted flag", replaced(valid, "\"hierarchical\": false",
+                                 "\"hierarchical\": \"yes\""),
+         "hierarchical"},
+        {"unknown policy", replaced(valid, "\"policy\": \"joint\"",
+                                    "\"policy\": \"warp\""),
+         "warp"},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.what);
+        ReplaySpec out;
+        std::string error;
+        EXPECT_FALSE(parseSpecJson(row.text, out, &error));
+        EXPECT_NE(error.find(row.errorNames), std::string::npos) << error;
+    }
     ReplaySpec out;
     std::string error;
-    EXPECT_FALSE(parseSpecJson("not json at all", out, &error));
-    EXPECT_FALSE(error.empty());
-    error.clear();
-    EXPECT_FALSE(parseSpecJson("{\"schema\": \"something-else\"}", out,
-                               &error));
-    EXPECT_FALSE(error.empty());
+    EXPECT_TRUE(parseSpecJson(valid, out, &error)) << error;
 }
 
 TEST(ReplaySessionTest, PausedRunIsByteIdenticalToUnpausedRun)
@@ -253,31 +303,50 @@ TEST(ReplaySessionTest, GovernorRigIsDeterministicAndCheckpointSafe)
     std::filesystem::remove(trace);
 }
 
-TEST(ReplayBranchTest, BranchRaceIsIndependentOfThreadCount)
+/** A joint session checkpointed at 600 s, and a grid of @p policies to
+ *  race off it. */
+struct BranchRig
 {
-    const std::string trace = writeTestTrace("branch", 8, 0.5);
-    ReplaySpec spec = baseSpec(trace);
-    spec.durationHours = 0.5;
+    std::string trace;
+    CheckpointData ckpt;
+    sweep::SweepManifest manifest;
+    std::vector<sweep::CellSpec> cells;
+};
+
+BranchRig
+branchRig(const std::string &tag, std::vector<std::string> policies)
+{
+    BranchRig rig;
+    rig.trace = writeTestTrace(tag, 8, 0.5);
+    const ReplaySpec spec = baseSpec(rig.trace);
     std::string error;
     std::unique_ptr<ReplaySession> session =
         ReplaySession::create(spec, &error);
-    ASSERT_NE(session, nullptr) << error;
-    session->runTo(sim::SimTime::seconds(600.0));
-    const CheckpointData ckpt = session->capture();
+    EXPECT_NE(session, nullptr) << error;
+    if (session) {
+        session->runTo(sim::SimTime::seconds(600.0));
+        rig.ckpt = session->capture();
+    }
+    rig.manifest.name = tag;
+    rig.manifest.durationHours = spec.durationHours;
+    rig.manifest.repeats = 1;
+    rig.manifest.policies = std::move(policies);
+    rig.manifest.workloads = {"steady"};
+    rig.manifest.exitLatenciesS = {spec.exitLatencyS};
+    rig.manifest.loadScales = {1.0};
+    rig.manifest.hostCounts = {spec.hosts};
+    rig.manifest.vmCounts = {spec.vms};
+    rig.manifest.seeds = {spec.seed};
+    rig.cells = sweep::expandGrid(rig.manifest);
+    return rig;
+}
 
-    sweep::SweepManifest manifest;
-    manifest.name = "branch_test";
-    manifest.durationHours = spec.durationHours;
-    manifest.repeats = 1;
-    manifest.policies = {"joint", "s3", "nopm"};
-    manifest.workloads = {"steady"};
-    manifest.exitLatenciesS = {spec.exitLatencyS};
-    manifest.loadScales = {1.0};
-    manifest.hostCounts = {spec.hosts};
-    manifest.vmCounts = {spec.vms};
-    manifest.seeds = {spec.seed};
-    const std::vector<sweep::CellSpec> cells =
-        sweep::expandGrid(manifest);
+TEST(ReplayBranchTest, BranchRaceIsIndependentOfThreadCount)
+{
+    const BranchRig rig = branchRig("branch", {"joint", "s3", "nopm"});
+    const CheckpointData &ckpt = rig.ckpt;
+    const sweep::SweepManifest &manifest = rig.manifest;
+    const std::vector<sweep::CellSpec> &cells = rig.cells;
     ASSERT_EQ(cells.size(), 3u);
 
     const auto race = [&](int threads, telemetry::SweepMatrix &out) {
@@ -329,7 +398,75 @@ TEST(ReplayBranchTest, BranchRaceIsIndependentOfThreadCount)
             nopm_energy = energy(cell);
     }
     EXPECT_GT(nopm_energy, joint_energy);
-    std::filesystem::remove(trace);
+    std::filesystem::remove(rig.trace);
+}
+
+TEST(ReplayBranchTest, BranchWorkersLeaveTheCallersTraceContextAlone)
+{
+    // Branch workers mint decisions and install trace scopes on their own
+    // threads; none of that may reach the thread that raced them.
+    const BranchRig rig = branchRig("branch_ctx", {"joint", "cstates"});
+    const auto race = [&] {
+        BranchOptions options;
+        options.threads = 2;
+        options.verify = false;
+        telemetry::SweepMatrix out;
+        std::ostringstream log;
+        std::string error;
+        ASSERT_TRUE(runBranches(rig.ckpt, rig.manifest, rig.cells, options,
+                                out, log, &error))
+            << error;
+        for (const telemetry::SweepCell &cell : out.cells)
+            EXPECT_EQ(cell.status, telemetry::CellStatus::Ok) << cell.error;
+    };
+
+    race();
+    EXPECT_EQ(telemetry::currentContext().cause, 0u);
+    EXPECT_EQ(telemetry::currentContext().causeSeq, 0u);
+    {
+        const telemetry::TraceScope scope(telemetry::TraceContext{77, 5});
+        race();
+        EXPECT_EQ(telemetry::currentContext().cause, 77u);
+        EXPECT_EQ(telemetry::currentContext().causeSeq, 5u);
+    }
+    EXPECT_EQ(telemetry::currentContext().cause, 0u);
+    std::filesystem::remove(rig.trace);
+}
+
+TEST(ReplayBranchTest, RefusesUnreachableVariantsAndBases)
+{
+    BranchRig rig = branchRig("branch_refuse", {"joint", "hier"});
+    BranchOptions options;
+    options.verify = false;
+    telemetry::SweepMatrix out;
+    std::ostringstream log;
+    std::string error;
+    EXPECT_FALSE(runBranches(rig.ckpt, rig.manifest, rig.cells, options, out,
+                             log, &error));
+    EXPECT_NE(error.find("hier"), std::string::npos) << error;
+
+    // Every other registry name is reachable from the joint base.
+    rig.manifest.policies = {"nopm", "drm", "s5", "s3", "adaptive",
+                             "cstates", "joint"};
+    rig.cells = sweep::expandGrid(rig.manifest);
+    error.clear();
+    EXPECT_TRUE(runBranches(rig.ckpt, rig.manifest, rig.cells, options, out,
+                            log, &error))
+        << error;
+    for (const telemetry::SweepCell &cell : out.cells)
+        EXPECT_EQ(cell.status, telemetry::CellStatus::Ok) << cell.error;
+
+    // A base without the full joint governor cannot be branched at all.
+    ReplaySpec spec = baseSpec(rig.trace);
+    spec.policy = "cstates";
+    std::unique_ptr<ReplaySession> session =
+        ReplaySession::create(spec, &error);
+    ASSERT_NE(session, nullptr) << error;
+    session->runTo(sim::SimTime::seconds(600.0));
+    error.clear();
+    EXPECT_FALSE(session->applyVariant("s3", &error));
+    EXPECT_NE(error.find("cstates"), std::string::npos) << error;
+    std::filesystem::remove(rig.trace);
 }
 
 } // namespace

@@ -92,10 +92,12 @@ TEST_P(ScenarioPropertyTest, InvariantsHoldForAnyDraw)
               5 * spec.peakPowerWatts());
 
     // Policy lattice: only power-managing policies take power actions.
-    if (policy == PolicyKind::NoPM || policy == PolicyKind::DrmOnly)
+    if (policy == PolicyKind::NoPM || policy == PolicyKind::DrmOnly) {
         EXPECT_EQ(result.metrics.powerActions, 0u);
-    if (policy == PolicyKind::NoPM)
+    }
+    if (policy == PolicyKind::NoPM) {
         EXPECT_EQ(result.manager.migrationsRequested, 0u);
+    }
 
     // Churn accounting: departures never exceed arrivals.
     EXPECT_LE(result.vmDepartures, result.vmArrivals);

@@ -147,6 +147,38 @@ TEST(SweepManifestTest, RejectsBadRepeatsAndDuration)
               std::string::npos);
 }
 
+TEST(SweepManifestTest, RejectsMistypedAndOutOfRangeValues)
+{
+    // Each row used to parse: a cast truncated or overflowed the count,
+    // or a fallback replaced the mistyped value with a default.
+    const struct
+    {
+        const char *top;  ///< extra top-level members
+        const char *axes; ///< axes object body
+        const char *errorNames;
+    } rows[] = {
+        {"", R"("hosts": [2.7])", "hosts"},
+        {"", R"("hosts": [1e12])", "hosts"},
+        {"", R"("vms": [-3])", "vms"},
+        {"", R"("vms": [40.5])", "vms"},
+        {"", R"("seeds": [1.5])", "seeds"},
+        {"", R"("hosts": ["8"])", "hosts"},
+        {R"("repeats": 2.5,)", "", "repeats"},
+        {R"("repeats": 1e12,)", "", "repeats"},
+        {R"("duration_hours": "6",)", "", "duration_hours"},
+        {R"("name": 5,)", "", "name"},
+        {R"("duraton_hours": 1,)", "", "duraton_hours"},
+        {"", R"("policy": [7])", "policy"},
+    };
+    for (const auto &row : rows) {
+        const std::string text =
+            std::string(R"({"schema": "vpm-sweep-manifest-1", )") + row.top +
+            R"( "axes": {)" + row.axes + "}}";
+        SCOPED_TRACE(text);
+        EXPECT_NE(parseError(text).find(row.errorNames), std::string::npos);
+    }
+}
+
 TEST(SweepGridTest, ExpansionIsCanonical)
 {
     const SweepManifest manifest = parsed(kManifestText);

@@ -25,9 +25,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "telemetry/bench_report.hpp"
+#include "telemetry/cli.hpp"
 
 namespace {
 
@@ -51,14 +53,6 @@ printUsage(std::FILE *out)
         "       [--advisory]                report but always exit 0\n"
         "       [--help]\n"
         "exit codes: 0 ok/advisory, 1 regression, 2 usage, 3 bad input\n");
-}
-
-bool
-parseDouble(const char *text, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(text, &end);
-    return end != text && *end == '\0';
 }
 
 bool
@@ -102,6 +96,15 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto number = [&](const char *flag, double &out) {
+            const std::optional<double> parsed =
+                vpm::cli::numberFlag("bench_compare", flag, value(flag), 0.0);
+            if (parsed)
+                out = *parsed;
+            else
+                printUsage(stderr);
+            return parsed.has_value();
+        };
 
         if (arg == "--help") {
             printUsage(stdout);
@@ -111,34 +114,17 @@ main(int argc, char **argv)
         } else if (arg == "--no-ci") {
             options.ciGate = false;
         } else if (arg == "--threshold-pct") {
-            if (!parseDouble(value("--threshold-pct"),
-                             options.thresholdPct)) {
-                std::fprintf(stderr,
-                             "bench_compare: bad --threshold-pct value\n");
+            if (!number("--threshold-pct", options.thresholdPct))
                 return 2;
-            }
         } else if (arg == "--zone-threshold-pct") {
-            if (!parseDouble(value("--zone-threshold-pct"),
-                             options.zoneThresholdPct)) {
-                std::fprintf(
-                    stderr,
-                    "bench_compare: bad --zone-threshold-pct value\n");
+            if (!number("--zone-threshold-pct", options.zoneThresholdPct))
                 return 2;
-            }
         } else if (arg == "--min-zone-ms") {
-            if (!parseDouble(value("--min-zone-ms"), options.minZoneMs)) {
-                std::fprintf(stderr,
-                             "bench_compare: bad --min-zone-ms value\n");
+            if (!number("--min-zone-ms", options.minZoneMs))
                 return 2;
-            }
         } else if (arg == "--rss-threshold-pct") {
-            if (!parseDouble(value("--rss-threshold-pct"),
-                             options.rssThresholdPct)) {
-                std::fprintf(
-                    stderr,
-                    "bench_compare: bad --rss-threshold-pct value\n");
+            if (!number("--rss-threshold-pct", options.rssThresholdPct))
                 return 2;
-            }
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "bench_compare: unknown option '%s'\n",
                          arg.c_str());

@@ -37,7 +37,8 @@
  * input / runtime failure, 4 checkpoint verification failure.
  */
 
-#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "core/policies.hpp"
 #include "replay/checkpoint.hpp"
 #include "replay/session.hpp"
 #include "replay/trace_file.hpp"
@@ -55,6 +57,7 @@
 #include "simcore/thread_pool.hpp"
 #include "sweep/manifest.hpp"
 #include "sweep/report.hpp"
+#include "telemetry/cli.hpp"
 #include "telemetry/json_util.hpp"
 #include "telemetry/sweep_matrix.hpp"
 #include "workload/mix.hpp"
@@ -83,8 +86,10 @@ printUsage(std::FILE *out)
         "  branch    --checkpoint <file> --grid <manifest> --out <dir>\n"
         "            [--threads <n>] [--no-verify]\n"
         "  inspect   (--trace <file> | --checkpoint <file>)\n"
+        "--threads takes 1-64; --policy takes %s\n"
         "exit codes: 0 ok, 1 branch cells failed, 2 usage, 3 bad input,\n"
-        "            4 verification failure\n");
+        "            4 verification failure\n",
+        vpm::mgmt::policyNameList().c_str());
 }
 
 [[noreturn]] void
@@ -98,43 +103,28 @@ usageError(const char *fmt, const char *detail)
 }
 
 long long
-parseIntArg(const char *flag, const char *text, long long min)
+parseIntArg(const char *flag, const char *text, long long min,
+            long long max = INT_MAX)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || parsed < min) {
-        std::fprintf(stderr,
-                     "replay: %s wants an integer >= %lld, got '%s'\n",
-                     flag, min, text);
+    const std::optional<long long> parsed =
+        vpm::cli::intFlag("replay", flag, text, min, max);
+    if (!parsed) {
         printUsage(stderr);
         std::exit(2);
     }
-    return parsed;
+    return *parsed;
 }
 
 double
 parseNumArg(const char *flag, const char *text, double min)
 {
-    char *end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        !(parsed >= min)) {
-        std::fprintf(stderr, "replay: %s wants a number >= %g, got '%s'\n",
-                     flag, min, text);
+    const std::optional<double> parsed =
+        vpm::cli::numberFlag("replay", flag, text, min);
+    if (!parsed) {
         printUsage(stderr);
         std::exit(2);
     }
-    return parsed;
-}
-
-std::string
-num17(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return *parsed;
 }
 
 /** Deterministic result JSON: metrics that are byte-identical at any
@@ -147,6 +137,7 @@ writeResultJson(const vpm::replay::ReplaySession &session,
     char digest_hex[20];
     std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
                   static_cast<unsigned long long>(digest));
+    using vpm::telemetry::exactNumber;
     const vpm::replay::ReplaySpec &spec = session.spec();
     out << "{\n";
     out << "  \"schema\": \"vpm-replay-result-1\",\n";
@@ -155,30 +146,31 @@ writeResultJson(const vpm::replay::ReplaySession &session,
     out << "  \"policy\": \"" << vpm::telemetry::jsonEscape(spec.policy)
         << "\",\n";
     out << "  \"hosts\": " << spec.hosts << ",\n";
-    out << "  \"duration_hours\": " << num17(spec.durationHours) << ",\n";
+    out << "  \"duration_hours\": " << exactNumber(spec.durationHours) << ",\n";
     out << "  \"seed\": " << spec.seed << ",\n";
     out << "  \"state_digest\": \"" << digest_hex << "\",\n";
     out << "  \"events_processed\": " << result.eventsProcessed << ",\n";
     out << "  \"metrics\": {\n";
-    out << "    \"energy_kwh\": " << num17(result.metrics.energyKwh)
+    out << "    \"energy_kwh\": " << exactNumber(result.metrics.energyKwh)
         << ",\n";
     out << "    \"average_power_w\": "
-        << num17(result.metrics.averagePowerWatts) << ",\n";
+        << exactNumber(result.metrics.averagePowerWatts) << ",\n";
     out << "    \"sla_violation_pct\": "
-        << num17(result.metrics.violationFraction * 100.0) << ",\n";
-    out << "    \"satisfaction\": " << num17(result.metrics.satisfaction)
+        << exactNumber(result.metrics.violationFraction * 100.0) << ",\n";
+    out << "    \"satisfaction\": " << exactNumber(result.metrics.satisfaction)
         << ",\n";
     out << "    \"average_hosts_on\": "
-        << num17(result.metrics.averageHostsOn) << ",\n";
+        << exactNumber(result.metrics.averageHostsOn) << ",\n";
     out << "    \"migrations\": " << result.metrics.migrations << ",\n";
     out << "    \"power_actions\": " << result.metrics.powerActions
         << ",\n";
-    out << "    \"offered_load\": " << num17(result.offeredLoadFraction)
+    out << "    \"offered_load\": " << exactNumber(result.offeredLoadFraction)
         << ",\n";
     out << "    \"ideal_proportional_kwh\": "
-        << num17(result.idealProportionalKwh) << ",\n";
+        << exactNumber(result.idealProportionalKwh) << ",\n";
     out << "    \"wakes\": " << result.wakes << ",\n";
-    out << "    \"wake_p99_s\": " << num17(result.wakeP99Seconds) << ",\n";
+    out << "    \"wake_p99_s\": " << exactNumber(result.wakeP99Seconds)
+        << ",\n";
     out << "    \"idle_transitions\": " << result.idleTransitions << ",\n";
     out << "    \"joint_speed_transitions\": "
         << result.jointSpeedTransitions << ",\n";
@@ -219,7 +211,7 @@ cmdGenTrace(int argc, char **argv)
             hours = parseNumArg("--hours", value("--hours"), 1e-9);
         else if (arg == "--seed")
             seed = static_cast<std::uint64_t>(
-                parseIntArg("--seed", value("--seed"), 0));
+                parseIntArg("--seed", value("--seed"), 0, LLONG_MAX));
         else if (arg == "--load-scale")
             load_scale =
                 parseNumArg("--load-scale", value("--load-scale"), 1e-9);
@@ -227,10 +219,11 @@ cmdGenTrace(int argc, char **argv)
             sample_interval_s = parseNumArg(
                 "--sample-interval-s", value("--sample-interval-s"), 1e-9);
         else if (arg == "--quantum")
-            quantum = parseIntArg("--quantum", value("--quantum"), 1);
+            quantum = parseIntArg("--quantum", value("--quantum"), 1,
+                                  UINT32_MAX);
         else if (arg == "--chunk-samples")
-            chunk_samples =
-                parseIntArg("--chunk-samples", value("--chunk-samples"), 2);
+            chunk_samples = parseIntArg(
+                "--chunk-samples", value("--chunk-samples"), 2, UINT32_MAX);
         else
             usageError("gen-trace: unknown option '%s'", arg.c_str());
     }
@@ -332,12 +325,14 @@ cmdRun(int argc, char **argv)
             spec.hierarchical = true;
             have_flags = true;
         } else if (arg == "--seed") {
-            spec.seed = static_cast<std::uint64_t>(
-                parseIntArg("--seed", value("--seed"), 0));
+            spec.seed = static_cast<std::uint64_t>(parseIntArg(
+                "--seed", value("--seed"), 0,
+                vpm::telemetry::kMaxExactInteger));
             have_flags = true;
         } else if (arg == "--window-bytes") {
             spec.windowBytes = static_cast<std::uint64_t>(
-                parseIntArg("--window-bytes", value("--window-bytes"), 1));
+                parseIntArg("--window-bytes", value("--window-bytes"), 1,
+                            vpm::telemetry::kMaxExactInteger));
             have_flags = true;
         } else if (arg == "--governor-period-s") {
             spec.governorPeriodS = parseNumArg(
@@ -352,7 +347,8 @@ cmdRun(int argc, char **argv)
             json_path = value("--json");
         } else if (arg == "--threads") {
             threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1));
+                parseIntArg("--threads", value("--threads"), 1,
+                            vpm::cli::kMaxThreads));
         } else {
             usageError("run: unknown option '%s'", arg.c_str());
         }
@@ -443,7 +439,8 @@ cmdResume(int argc, char **argv)
             json_path = value("--json");
         else if (arg == "--threads")
             threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1));
+                parseIntArg("--threads", value("--threads"), 1,
+                            vpm::cli::kMaxThreads));
         else if (arg == "--no-verify")
             verify = false;
         else
@@ -512,7 +509,8 @@ cmdBranch(int argc, char **argv)
             out_dir = value("--out");
         else if (arg == "--threads")
             options.threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1));
+                parseIntArg("--threads", value("--threads"), 1,
+                            vpm::cli::kMaxThreads));
         else if (arg == "--no-verify")
             options.verify = false;
         else
@@ -558,27 +556,7 @@ cmdBranch(int argc, char **argv)
                                                                       : 3;
     }
 
-    {
-        std::ofstream out(out_dir + "/matrix.json");
-        vpm::telemetry::writeSweepJson(matrix, out);
-    }
-    const vpm::sweep::ParetoReport pareto =
-        vpm::sweep::paretoFrontier(matrix);
-    {
-        std::ofstream out(out_dir + "/report.txt");
-        vpm::sweep::writePolicyTable(matrix, out);
-        out << "\n";
-        vpm::sweep::writeParetoText(pareto, out);
-    }
-    {
-        std::ofstream out(out_dir + "/report.csv");
-        vpm::sweep::writePolicyCsv(matrix, out);
-    }
-
-    std::size_t failed = 0;
-    for (const vpm::telemetry::SweepCell &cell : matrix.cells)
-        if (cell.status != vpm::telemetry::CellStatus::Ok)
-            ++failed;
+    const std::size_t failed = vpm::sweep::writeArtifacts(matrix, out_dir);
     std::printf("replay branch '%s': %zu variants (%zu failed) -> "
                 "%s/matrix.json\n",
                 manifest.name.c_str(), matrix.cells.size(), failed,

@@ -6,7 +6,7 @@
  *
  * Usage:
  *     sweep <manifest.json> --out <dir>
- *           [--threads <n>]        concurrent cells (default 1)
+ *           [--threads <n>]        concurrent cells, 1-64 (default 1)
  *           [--repeats <n>]        override the manifest's repeat count
  *           [--exec inproc|process] cell execution mode (default inproc)
  *           [--timeout-s <s>]      per-cell kill timer (process mode)
@@ -26,15 +26,18 @@
  * error, 3 unreadable manifest / unusable environment.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "sweep/manifest.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
+#include "telemetry/cli.hpp"
 #include "telemetry/sweep_matrix.hpp"
 
 namespace {
@@ -48,21 +51,21 @@ printUsage(std::FILE *out)
         "       [--repeats <n>] [--exec inproc|process] [--timeout-s <s>]\n"
         "       [--resume] [--list] [--help]\n"
         "internal: sweep <manifest.json> --cell <i> --cell-out <path>\n"
+        "--threads takes 1-64\n"
         "exit codes: 0 ok, 1 cells failed, 2 usage, 3 bad input\n");
 }
 
 int
-parseIntArg(const char *flag, const char *text, int min)
+parseIntArg(const char *flag, const char *text, int min,
+            long long max = INT_MAX)
 {
-    char *end = nullptr;
-    const long parsed = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || parsed < min) {
-        std::fprintf(stderr, "sweep: %s wants an integer >= %d, got '%s'\n",
-                     flag, min, text);
+    const std::optional<long long> parsed =
+        vpm::cli::intFlag("sweep", flag, text, min, max);
+    if (!parsed) {
         printUsage(stderr);
         std::exit(2);
     }
-    return static_cast<int>(parsed);
+    return static_cast<int>(*parsed);
 }
 
 } // namespace
@@ -96,7 +99,8 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             options.outDir = value("--out");
         } else if (arg == "--threads") {
-            options.threads = parseIntArg("--threads", value("--threads"), 1);
+            options.threads = parseIntArg("--threads", value("--threads"), 1,
+                                          vpm::cli::kMaxThreads);
         } else if (arg == "--repeats") {
             options.repeatsOverride =
                 parseIntArg("--repeats", value("--repeats"), 1);
@@ -115,12 +119,13 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--timeout-s") {
-            char *end = nullptr;
-            options.timeoutS = std::strtod(value("--timeout-s"), &end);
-            if (*end != '\0' || options.timeoutS < 0.0) {
-                std::fprintf(stderr, "sweep: bad --timeout-s value\n");
+            const std::optional<double> timeout = vpm::cli::numberFlag(
+                "sweep", "--timeout-s", value("--timeout-s"), 0.0);
+            if (!timeout) {
+                printUsage(stderr);
                 return 2;
             }
+            options.timeoutS = *timeout;
         } else if (arg == "--resume") {
             options.resume = true;
         } else if (arg == "--list") {
@@ -215,26 +220,7 @@ main(int argc, char **argv)
         return 3;
     }
 
-    {
-        std::ofstream out(options.outDir + "/matrix.json");
-        telemetry::writeSweepJson(matrix, out);
-    }
-    const sweep::ParetoReport pareto = sweep::paretoFrontier(matrix);
-    {
-        std::ofstream out(options.outDir + "/report.txt");
-        sweep::writePolicyTable(matrix, out);
-        out << "\n";
-        sweep::writeParetoText(pareto, out);
-    }
-    {
-        std::ofstream out(options.outDir + "/report.csv");
-        sweep::writePolicyCsv(matrix, out);
-    }
-
-    std::size_t failed = 0;
-    for (const telemetry::SweepCell &cell : matrix.cells)
-        if (cell.status != telemetry::CellStatus::Ok)
-            ++failed;
+    const std::size_t failed = sweep::writeArtifacts(matrix, options.outDir);
     std::printf("sweep '%s': %zu cells (%zu failed) -> %s/matrix.json, "
                 "report.txt, report.csv\n",
                 manifest.name.c_str(), matrix.cells.size(), failed,

@@ -24,15 +24,15 @@
  * Exit codes: 0 ok, 1 I/O error, 2 usage error, 3 --check failed.
  */
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "telemetry/cli.hpp"
 #include "telemetry/trace_analysis.hpp"
 
 namespace {
@@ -99,35 +99,19 @@ parseArgs(int argc, char **argv, Options &opts)
             // strtoll() to 0 and silently tighten the sum check.
             if (!needValue(i))
                 return false;
-            const char *text = argv[++i];
-            char *end = nullptr;
-            errno = 0;
-            const long long parsed = std::strtoll(text, &end, 10);
-            if (end == text || *end != '\0' || errno == ERANGE ||
-                parsed < 0) {
-                std::fprintf(stderr,
-                             "trace_analyze: --tolerance-us wants an "
-                             "integer >= 0, got '%s'\n",
-                             text);
+            const std::optional<long long> parsed = vpm::cli::intFlag(
+                "trace_analyze", "--tolerance-us", argv[++i], 0);
+            if (!parsed)
                 return false;
-            }
-            opts.analyzer.toleranceUs = parsed;
+            opts.analyzer.toleranceUs = *parsed;
         } else if (std::strcmp(argv[i], "--respread-window-s") == 0) {
             if (!needValue(i))
                 return false;
-            const char *text = argv[++i];
-            char *end = nullptr;
-            errno = 0;
-            const double parsed = std::strtod(text, &end);
-            if (end == text || *end != '\0' || errno == ERANGE ||
-                !std::isfinite(parsed) || parsed < 0.0) {
-                std::fprintf(stderr,
-                             "trace_analyze: --respread-window-s wants a "
-                             "number >= 0, got '%s'\n",
-                             text);
+            const std::optional<double> parsed = vpm::cli::numberFlag(
+                "trace_analyze", "--respread-window-s", argv[++i], 0.0);
+            if (!parsed)
                 return false;
-            }
-            opts.analyzer.respreadWindowS = parsed;
+            opts.analyzer.respreadWindowS = *parsed;
         } else {
             std::fprintf(stderr, "trace_analyze: unknown option '%s'\n",
                          argv[i]);

@@ -31,7 +31,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,48 +41,14 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/cli.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/json_util.hpp"
 
 namespace {
 
-/** Value of a top-level "key":<number> pair, if present. */
-std::optional<double>
-findNumber(const std::string &line, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    const char *start = line.c_str() + pos + needle.size();
-    char *end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start)
-        return std::nullopt;
-    return value;
-}
-
-/** Value of a top-level "key":"string" pair, if present (unescaped only
- *  as far as the journal's tame label vocabulary requires). */
-std::optional<std::string>
-findString(const std::string &line, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    std::string out;
-    for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
-        const char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            out += line[++i];
-        } else if (c == '"') {
-            return out;
-        } else {
-            out += c;
-        }
-    }
-    return std::nullopt;
-}
+using vpm::telemetry::findNumber;
+using vpm::telemetry::findString;
 
 /** Running min/mean/max over a stream of samples. */
 struct DurationStats
@@ -184,27 +149,16 @@ usage(std::FILE *out)
         "                     [--format jsonl|csv]\n");
 }
 
-/**
- * Strict integer flag value: the whole token must parse, fit, and be >=
- * @p min. strtoll() alone would read "--limit banana" as 0 and run with
- * a silently wrong filter; instead the caller prints usage and exits 2.
- */
+/** Strict integer flag value (cli::intFlag) stored into @p out. */
 bool
 parseIntFlag(const char *flag, const char *text, std::int64_t min,
              std::int64_t &out)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || parsed < min) {
-        std::fprintf(stderr,
-                     "trace_inspect: %s wants an integer >= %lld, got "
-                     "'%s'\n",
-                     flag, static_cast<long long>(min), text);
-        return false;
-    }
-    out = parsed;
-    return true;
+    const std::optional<long long> parsed =
+        vpm::cli::intFlag("trace_inspect", flag, text, min);
+    if (parsed)
+        out = *parsed;
+    return parsed.has_value();
 }
 
 bool

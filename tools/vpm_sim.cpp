@@ -11,11 +11,10 @@
  *   vpm_sim --policy s3 --hosts 16 --vms 80 --hours 48
  *   vpm_sim --policy s5 --load-scale 0.5 --seed 7 --csv run.csv
  *   vpm_sim --policy s3 --churn 6 --dvfs --hours 24
+ *   vpm_sim --policy joint --hosts 16 --vms 80
  */
 
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +27,7 @@
 #include "power/spec_file.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/table.hpp"
+#include "telemetry/cli.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -36,7 +36,8 @@ using namespace vpm;
 
 struct Options
 {
-    mgmt::PolicyKind policy = mgmt::PolicyKind::PmS3;
+    std::string policy = "s3"; ///< a policy registry name
+    std::string policyLabel;   ///< its table label
     int hosts = 8;
     int vms = 40;
     double hours = 24.0;
@@ -60,8 +61,9 @@ usage(const char *argv0, int code)
     std::fprintf(
         code == 0 ? stdout : stderr,
         "usage: %s [options]\n"
-        "  --policy <nopm|drm|s5|s3|adaptive>   management policy "
-        "(default s3)\n"
+        "  --policy <name>       management policy (default s3), one of\n"
+        "                        %s\n"
+        "                        (cstates, joint and hier exclude --dvfs)\n"
         "  --hosts <n>           cluster size (default 8)\n"
         "  --vms <n>             static fleet size (default 40)\n"
         "  --hours <h>           simulated duration (default 24)\n"
@@ -76,8 +78,8 @@ usage(const char *argv0, int code)
         "VMs\n"
         "  --spec <path>         host power-spec file (see "
         "power/spec_file.hpp)\n"
-        "  --threads <n>         evaluation worker threads (default 1; "
-        "results\n"
+        "  --threads <n>         evaluation worker threads, 1-64 (default "
+        "1; results\n"
         "                        are bit-identical at any value)\n"
         "  --csv <path>          write a per-minute time series CSV\n"
         "  --timeseries <path>   write a compressed vpm-ts-1 snapshot\n"
@@ -86,63 +88,30 @@ usage(const char *argv0, int code)
         "  --watchdog <rules>    JSON watchdog rules evaluated as buckets\n"
         "                        seal (implies --timeseries store)\n"
         "  --help                this text\n",
-        argv0);
+        argv0, mgmt::policyNameList().c_str());
     std::exit(code);
 }
 
-/**
- * Strict numeric flag values: the whole token must parse, in range.
- * `--hosts banana` or `--threads 0` used to sail through atoi() as 0 and
- * either die later in the scenario builder or silently run the wrong
- * experiment; now every malformed value prints the reason plus usage and
- * exits 2 (the usage-error convention the benches and tools/replay use).
- */
 long long
 parseIntValue(const char *argv0, const char *flag, const char *text,
-              long long min)
+              long long min, long long max = INT_MAX)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || parsed < min) {
-        std::fprintf(stderr, "%s wants an integer >= %lld, got '%s'\n\n",
-                     flag, min, text);
+    const std::optional<long long> parsed =
+        cli::intFlag("vpm_sim", flag, text, min, max);
+    if (!parsed)
         usage(argv0, 2);
-    }
-    return parsed;
+    return *parsed;
 }
 
 double
 parseNumValue(const char *argv0, const char *flag, const char *text,
               double min)
 {
-    char *end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(parsed) || parsed < min) {
-        std::fprintf(stderr, "%s wants a number >= %g, got '%s'\n\n",
-                     flag, min, text);
+    const std::optional<double> parsed =
+        cli::numberFlag("vpm_sim", flag, text, min);
+    if (!parsed)
         usage(argv0, 2);
-    }
-    return parsed;
-}
-
-mgmt::PolicyKind
-parsePolicy(const std::string &name, const char *argv0)
-{
-    if (name == "nopm")
-        return mgmt::PolicyKind::NoPM;
-    if (name == "drm")
-        return mgmt::PolicyKind::DrmOnly;
-    if (name == "s5")
-        return mgmt::PolicyKind::PmS5;
-    if (name == "s3")
-        return mgmt::PolicyKind::PmS3;
-    if (name == "adaptive")
-        return mgmt::PolicyKind::PmAdaptive;
-    std::fprintf(stderr, "unknown policy '%s'\n\n", name.c_str());
-    usage(argv0, 1);
+    return *parsed;
 }
 
 Options
@@ -162,15 +131,13 @@ parseArgs(int argc, char **argv)
         if (arg == "--help" || arg == "-h")
             usage(argv[0], 0);
         else if (arg == "--policy")
-            opts.policy = parsePolicy(need_value(i), argv[0]);
+            opts.policy = need_value(i);
         else if (arg == "--hosts")
-            opts.hosts = static_cast<int>(std::min<long long>(
-                parseIntValue(argv[0], "--hosts", need_value(i), 1),
-                INT_MAX));
+            opts.hosts = static_cast<int>(
+                parseIntValue(argv[0], "--hosts", need_value(i), 1));
         else if (arg == "--vms")
-            opts.vms = static_cast<int>(std::min<long long>(
-                parseIntValue(argv[0], "--vms", need_value(i), 0),
-                INT_MAX));
+            opts.vms = static_cast<int>(
+                parseIntValue(argv[0], "--vms", need_value(i), 0));
         else if (arg == "--hours")
             opts.hours =
                 parseNumValue(argv[0], "--hours", need_value(i), 1e-9);
@@ -178,8 +145,8 @@ parseArgs(int argc, char **argv)
             opts.loadScale = parseNumValue(argv[0], "--load-scale",
                                            need_value(i), 0.0);
         else if (arg == "--seed")
-            opts.seed = static_cast<std::uint64_t>(
-                parseIntValue(argv[0], "--seed", need_value(i), 0));
+            opts.seed = static_cast<std::uint64_t>(parseIntValue(
+                argv[0], "--seed", need_value(i), 0, LLONG_MAX));
         else if (arg == "--period")
             opts.managerMinutes =
                 parseNumValue(argv[0], "--period", need_value(i), 1.0);
@@ -194,9 +161,8 @@ parseArgs(int argc, char **argv)
             opts.weekendFactor =
                 parseNumValue(argv[0], "--weekend", need_value(i), 0.0);
         else if (arg == "--threads")
-            opts.threads = static_cast<int>(std::min<long long>(
-                parseIntValue(argv[0], "--threads", need_value(i), 1),
-                1u << 16));
+            opts.threads = static_cast<int>(parseIntValue(
+                argv[0], "--threads", need_value(i), 1, cli::kMaxThreads));
         else if (arg == "--csv")
             opts.csvPath = need_value(i);
         else if (arg == "--spec")
@@ -211,6 +177,24 @@ parseArgs(int argc, char **argv)
         }
     }
 
+    // Policy errors are usage errors, caught before anything runs: an
+    // unknown name, or a joint governor (which owns the speed knob)
+    // combined with the DVFS governor.
+    const std::optional<mgmt::PolicyPreset> preset = mgmt::resolvePolicy(
+        opts.policy, sim::SimTime::minutes(1.0), false);
+    if (!preset) {
+        std::fprintf(stderr, "vpm_sim: unknown policy '%s'\n\n",
+                     opts.policy.c_str());
+        usage(argv[0], 2);
+    }
+    if (preset->joint && opts.dvfs) {
+        std::fprintf(stderr,
+                     "vpm_sim: --policy %s runs the joint governor, which "
+                     "owns the speed knob; drop --dvfs\n\n",
+                     opts.policy.c_str());
+        usage(argv[0], 2);
+    }
+    opts.policyLabel = preset->label;
     return opts;
 }
 
@@ -260,10 +244,10 @@ main(int argc, char **argv)
     config.mix.loadScale = opts.loadScale;
     config.mix.weekendFactor = opts.weekendFactor;
     config.seed = opts.seed;
-    config.manager = mgmt::makePolicy(opts.policy);
-    config.manager.period = sim::SimTime::minutes(opts.managerMinutes);
     if (!opts.specPath.empty())
         config.powerSpec = power::loadHostSpec(opts.specPath);
+    mgmt::applyPolicy(config, opts.policy); // validated in parseArgs
+    config.manager.period = sim::SimTime::minutes(opts.managerMinutes);
     if (opts.legacyMix) {
         config.heterogeneousSpecs = {power::enterpriseBlade2013(),
                                      power::legacyServer2009()};
@@ -296,7 +280,7 @@ main(int argc, char **argv)
 
     const mgmt::ScenarioResult result = mgmt::runScenario(config);
 
-    stats::Table summary("vpm_sim: " + std::string(toString(opts.policy)),
+    stats::Table summary("vpm_sim: " + opts.policyLabel,
                          {"metric", "value"});
     summary.addRow({"simulated hours",
                     stats::fmt(result.metrics.simulatedHours, 1)});
