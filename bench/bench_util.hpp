@@ -109,25 +109,6 @@ printUsage(const char *bench_id, std::FILE *out)
         bench_id);
 }
 
-/**
- * Strict integer flag value in [@p min, @p max] (cli::intFlag); anything
- * else prints the reason plus usage and exits 2, so `--repeat 0` or
- * `--warmup -1` cannot silently degrade a measurement.
- */
-inline int
-parseIntFlag(const char *bench_id, const char *flag, const char *text,
-             int min, int max = INT_MAX)
-{
-    const std::string prog = std::string("bench_") + bench_id;
-    const std::optional<long long> parsed =
-        cli::intFlag(prog.c_str(), flag, text, min, max);
-    if (!parsed) {
-        printUsage(bench_id, stderr);
-        std::exit(2);
-    }
-    return static_cast<int>(*parsed);
-}
-
 /** Read a whole file into a string; exits 2 (with usage) when unreadable.
  *  Used for the --watchdog rule file. */
 inline std::string
@@ -161,17 +142,16 @@ parseArgs(const char *bench_id, int argc, char **argv)
     args.benchId = bench_id;
     bool saw_repeat = false;
     bool saw_warmup = false;
+    const cli::FlagReader flags(
+        std::string("bench_") + bench_id,
+        [bench_id](std::FILE *out) { printUsage(bench_id, out); }, argc, argv);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "bench_%s: %s needs a value\n",
-                             bench_id, flag);
-                printUsage(bench_id, stderr);
-                std::exit(2);
-            }
-            return argv[++i];
+        // Strict: `--repeat 0` or `--warmup -1` cannot silently degrade a
+        // measurement.
+        const auto count = [&](int min, long long max = INT_MAX) {
+            return static_cast<int>(flags.integer(i, min, max));
         };
 
         if (arg == "--help") {
@@ -182,41 +162,33 @@ parseArgs(const char *bench_id, int argc, char **argv)
         } else if (arg == "--profile") {
             args.profile = true;
         } else if (arg == "--trace") {
-            args.tracePath = value("--trace");
+            args.tracePath = flags.value(i);
         } else if (arg == "--timeseries") {
-            args.timeseriesPath = value("--timeseries");
+            args.timeseriesPath = flags.value(i);
         } else if (arg == "--watchdog") {
-            args.watchdogPath = value("--watchdog");
+            args.watchdogPath = flags.value(i);
         } else if (arg == "--json") {
-            args.jsonPath = value("--json");
+            args.jsonPath = flags.value(i);
         } else if (arg == "--bench-json") {
-            args.benchJsonPath = value("--bench-json");
+            args.benchJsonPath = flags.value(i);
         } else if (arg == "--profile-trace") {
-            args.profileTracePath = value("--profile-trace");
+            args.profileTracePath = flags.value(i);
             args.profile = true;
         } else if (arg == "--repeat") {
-            args.repeat =
-                parseIntFlag(bench_id, "--repeat", value("--repeat"), 1);
+            args.repeat = count(1);
             saw_repeat = true;
         } else if (arg == "--warmup") {
-            args.warmup =
-                parseIntFlag(bench_id, "--warmup", value("--warmup"), 0);
+            args.warmup = count(0);
             saw_warmup = true;
         } else if (arg == "--threads") {
-            args.threads =
-                parseIntFlag(bench_id, "--threads", value("--threads"), 1,
-                             static_cast<int>(cli::kMaxThreads));
+            args.threads = count(1, cli::kMaxThreads);
             sim::setGlobalThreads(static_cast<unsigned>(args.threads));
         } else if (arg == "--hosts") {
-            args.hosts =
-                parseIntFlag(bench_id, "--hosts", value("--hosts"), 1);
+            args.hosts = count(1);
         } else if (arg == "--vms") {
-            args.vms = parseIntFlag(bench_id, "--vms", value("--vms"), 1);
+            args.vms = count(1);
         } else {
-            std::fprintf(stderr, "bench_%s: unknown option '%s'\n",
-                         bench_id, arg.c_str());
-            printUsage(bench_id, stderr);
-            std::exit(2);
+            flags.refuse("unknown option '" + arg + "'");
         }
     }
 

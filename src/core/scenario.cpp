@@ -11,20 +11,20 @@
 
 namespace vpm::mgmt {
 
-bool
+std::optional<PolicyPreset>
 applyPolicy(ScenarioConfig &config, std::string_view name)
 {
-    const std::optional<PolicyPreset> preset = resolvePolicy(
+    std::optional<PolicyPreset> preset = resolvePolicy(
         name, config.datacenter.evaluationInterval,
         config.powerSpec.findSleepState("SYNTH") != nullptr);
     if (!preset)
-        return false;
+        return std::nullopt;
     config.manager = preset->manager;
     config.jointPolicy = preset->joint;
     config.idleHierarchy.reset();
     if (preset->joint)
         config.idleHierarchy = power::modernIdleHierarchy();
-    return true;
+    return preset;
 }
 
 void

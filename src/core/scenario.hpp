@@ -167,9 +167,11 @@ struct ScenarioResult
  * the governor. The preset's rig facts come from @p config itself — the
  * evaluation interval and whether powerSpec carries the "SYNTH" state —
  * so set those first. The manager period is left at its default.
- * @return false (config untouched) for an unknown name.
+ * @return the installed preset, or std::nullopt (config untouched) for
+ * an unknown name.
  */
-bool applyPolicy(ScenarioConfig &config, std::string_view name);
+std::optional<PolicyPreset> applyPolicy(ScenarioConfig &config,
+                                        std::string_view name);
 
 /**
  * Place every VM with first-fit decreasing by full VM size (CPU limit 1.0,

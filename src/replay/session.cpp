@@ -695,7 +695,7 @@ runBranches(const CheckpointData &ckpt,
     const std::string manifest_hash = sweep::manifestContentHash(manifest);
     sweep::runCells(
         cells, options.threads, "branch", log,
-        [&](const sweep::CellSpec &cell_spec, std::string &) {
+        [&](const sweep::CellSpec &cell_spec) {
             telemetry::SweepCell cell =
                 sweep::cellSkeleton(cell_spec, {spec.seed}, 1, manifest_hash);
             const auto t0 = std::chrono::steady_clock::now();

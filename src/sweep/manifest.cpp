@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <istream>
 #include <sstream>
+#include <type_traits>
 
 #include "core/policies.hpp"
 #include "telemetry/json_util.hpp"
@@ -54,9 +56,14 @@ readStringAxis(const JsonValue *axes, const char *name,
     return true;
 }
 
+/**
+ * Number axis: every value a number in [@p min, @p max]; an integral
+ * @p T also wants whole numbers.
+ */
+template <typename T>
 bool
 readNumberAxis(const JsonValue *axes, const char *name, double min,
-               std::vector<double> &out, std::string *error)
+               double max, std::vector<T> &out, std::string *error)
 {
     const JsonValue *axis = axes->find(name);
     if (!axis)
@@ -64,38 +71,19 @@ readNumberAxis(const JsonValue *axes, const char *name, double min,
     if (!axis->isArray() || axis->array.empty())
         return fail(error, std::string("axis '") + name +
                                "' must be a non-empty array");
+    constexpr bool kWhole = std::is_integral_v<T>;
+    const std::string wants =
+        kWhole ? "integers in [" + axisNum(min) + ", " +
+                     std::to_string(static_cast<std::uint64_t>(max)) + "]"
+               : "numbers >= " + axisNum(min);
     out.clear();
     for (const JsonValue &value : axis->array) {
-        if (value.kind != JsonValue::Kind::Number || value.number < min)
-            return fail(error, std::string("axis '") + name +
-                                   "' wants numbers >= " + axisNum(min));
-        out.push_back(value.number);
-    }
-    return true;
-}
-
-/** Integer axis: every value a whole number in [@p min, @p max]. */
-template <typename Int>
-bool
-readIntegerAxis(const JsonValue *axes, const char *name, std::int64_t min,
-                std::int64_t max, std::vector<Int> &out, std::string *error)
-{
-    const JsonValue *axis = axes->find(name);
-    if (!axis)
-        return true;
-    if (!axis->isArray() || axis->array.empty())
-        return fail(error, std::string("axis '") + name +
-                               "' must be a non-empty array");
-    out.clear();
-    for (const JsonValue &value : axis->array) {
-        const std::optional<std::int64_t> parsed =
-            telemetry::integerIn(value, min, max);
-        if (!parsed)
-            return fail(error, std::string("axis '") + name +
-                                   "' wants integers in [" +
-                                   std::to_string(min) + ", " +
-                                   std::to_string(max) + "]");
-        out.push_back(static_cast<Int>(*parsed));
+        if (value.kind != JsonValue::Kind::Number || value.number < min ||
+            value.number > max ||
+            (kWhole && value.number != std::floor(value.number)))
+            return fail(error,
+                        std::string("axis '") + name + "' wants " + wants);
+        out.push_back(static_cast<T>(value.number));
     }
     return true;
 }
@@ -172,18 +160,16 @@ parseManifest(std::istream &in, SweepManifest &out, std::string *error)
     if (!readStringAxis(axes, "workload", kKnownWorkloads, out.workloads,
                         error))
         return false;
-    if (!readNumberAxis(axes, "exit_latency_s", 1e-6, out.exitLatenciesS,
-                        error))
-        return false;
-    if (!readNumberAxis(axes, "load_scale", 1e-6, out.loadScales, error))
-        return false;
-
-    if (!readIntegerAxis(axes, "hosts", 1, INT_MAX, out.hostCounts, error))
-        return false;
-    if (!readIntegerAxis(axes, "vms", 1, INT_MAX, out.vmCounts, error))
-        return false;
-    if (!readIntegerAxis(axes, "seeds", 0, telemetry::kMaxExactInteger,
-                         out.seeds, error))
+    constexpr double kUnbounded = HUGE_VAL;
+    if (!readNumberAxis(axes, "exit_latency_s", 1e-6, kUnbounded,
+                        out.exitLatenciesS, error) ||
+        !readNumberAxis(axes, "load_scale", 1e-6, kUnbounded,
+                        out.loadScales, error) ||
+        !readNumberAxis(axes, "hosts", 1, INT_MAX, out.hostCounts, error) ||
+        !readNumberAxis(axes, "vms", 1, INT_MAX, out.vmCounts, error) ||
+        !readNumberAxis(axes, "seeds", 0,
+                        static_cast<double>(telemetry::kMaxExactInteger),
+                        out.seeds, error))
         return false;
 
     // Reject axes we do not understand: a typo ("exit_latency") must not

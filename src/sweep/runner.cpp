@@ -148,8 +148,7 @@ runCells(const std::vector<CellSpec> &cells, int threads, const char *tag,
             if (i >= cells.size())
                 return;
             const CellSpec &spec = cells[i];
-            std::string note;
-            telemetry::SweepCell cell = body(spec, note);
+            telemetry::SweepCell cell = body(spec);
 
             const std::size_t finished =
                 done.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -158,7 +157,6 @@ runCells(const std::vector<CellSpec> &cells, int threads, const char *tag,
                 log << "[" << tag << "] " << finished << "/"
                     << cells.size() << " " << spec.id << " -> "
                     << telemetry::toString(cell.status)
-                    << (note.empty() ? "" : " " + note)
                     << (cell.error.empty() ? "" : ": " + cell.error)
                     << "\n";
             }
@@ -390,19 +388,23 @@ runSweep(const SweepManifest &manifest, const std::vector<CellSpec> &cells,
     out.name = manifest.name;
     out.exec = options.exec == ExecMode::InProc ? "inproc" : "process";
     const std::string manifest_hash = manifestContentHash(manifest);
+    // Resume notes, one slot per cell (each written by one worker), logged
+    // once every cell has run.
+    std::vector<const char *> notes(cells.size(), nullptr);
     runCells(cells, options.threads, "sweep", log,
-             [&](const CellSpec &spec, std::string &note) {
+             [&](const CellSpec &spec) {
                  const std::string path =
                      cellFilePath(options.outDir, spec.index);
                  telemetry::SweepCell cell;
                  bool stale = false;
                  if (options.resume &&
                      tryResume(path, spec, manifest_hash, cell, stale)) {
-                     note = "(resumed)";
+                     notes[spec.index] = "(resumed)";
                      return cell;
                  }
                  if (stale)
-                     note = "(re-ran stale cell (manifest changed))";
+                     notes[spec.index] =
+                         "(re-ran stale cell (manifest changed))";
 #if !defined(_WIN32)
                  if (options.exec == ExecMode::Process)
                      cell = runCellProcess(manifest, spec, repeats, options);
@@ -415,6 +417,9 @@ runSweep(const SweepManifest &manifest, const std::vector<CellSpec> &cells,
                  return cell;
              },
              out);
+    for (const CellSpec &spec : cells)
+        if (notes[spec.index] != nullptr)
+            log << "[sweep] " << spec.id << " " << notes[spec.index] << "\n";
     return true;
 }
 

@@ -102,11 +102,9 @@ struct CellSamples
     void finish(telemetry::SweepCell &cell) const;
 };
 
-/** One cell's work: returns the finished cell and may set @p note, which
- *  is appended to the cell's progress line. Runs on a worker thread. */
-using CellBody =
-    std::function<telemetry::SweepCell(const CellSpec &spec,
-                                       std::string &note)>;
+/** One cell's work, returning the finished cell. Runs on a worker
+ *  thread. */
+using CellBody = std::function<telemetry::SweepCell(const CellSpec &spec)>;
 
 /**
  * The cell runner sweep and replay branch share: @p threads workers pull

@@ -18,30 +18,47 @@ parseInt(const char *text, long long min, long long max)
     return parsed;
 }
 
-std::optional<long long>
-intFlag(const char *prog, const char *flag, const char *text, long long min,
-        long long max)
+void
+FlagReader::refuse(const std::string &message) const
 {
-    const std::optional<long long> parsed = parseInt(text, min, max);
-    if (!parsed)
-        std::fprintf(stderr,
-                     "%s: %s wants an integer in [%lld, %lld], got '%s'\n",
-                     prog, flag, min, max, text);
-    return parsed;
+    std::fprintf(stderr, "%s: %s\n", prog_.c_str(), message.c_str());
+    usage_(stderr);
+    std::exit(2);
 }
 
-std::optional<double>
-numberFlag(const char *prog, const char *flag, const char *text, double min,
-           double max)
+const char *
+FlagReader::value(int &i) const
 {
+    if (i + 1 >= argc_)
+        refuse(std::string(argv_[i]) + " needs a value");
+    return argv_[++i];
+}
+
+long long
+FlagReader::integer(int &i, long long min, long long max) const
+{
+    const char *text = value(i);
+    const std::optional<long long> parsed = parseInt(text, min, max);
+    if (!parsed)
+        refuse(std::string(argv_[i - 1]) + " wants an integer in [" +
+               std::to_string(min) + ", " + std::to_string(max) +
+               "], got '" + text + "'");
+    return *parsed;
+}
+
+double
+FlagReader::number(int &i, double min, double max) const
+{
+    const char *text = value(i);
     char *end = nullptr;
     errno = 0;
     const double parsed = std::strtod(text, &end);
     if (end == text || *end != '\0' || errno == ERANGE ||
         !std::isfinite(parsed) || !(parsed >= min) || !(parsed <= max)) {
-        std::fprintf(stderr, "%s: %s wants a number in [%g, %g], got '%s'\n",
-                     prog, flag, min, max, text);
-        return std::nullopt;
+        char range[64];
+        std::snprintf(range, sizeof(range), "[%g, %g]", min, max);
+        refuse(std::string(argv_[i - 1]) + " wants a number in " + range +
+               ", got '" + text + "'");
     }
     return parsed;
 }

@@ -5,8 +5,8 @@
  * atoi()/strtol() read "--hosts banana" as 0 and "--hosts 5x" as 5, and a
  * cast of an out-of-range value to int is undefined. Here the whole token
  * must parse, be finite and fall inside the flag's documented range;
- * anything else is refused, so the caller can print usage and exit 2
- * before acting on it.
+ * anything else is refused with the tool's usage and exit 2 before the
+ * tool acts on it.
  */
 
 #ifndef VPM_TELEMETRY_CLI_HPP
@@ -14,7 +14,11 @@
 
 #include <climits>
 #include <cmath>
+#include <cstdio>
+#include <functional>
 #include <optional>
+#include <string>
+#include <utility>
 
 namespace vpm::cli {
 
@@ -29,17 +33,37 @@ inline constexpr long long kMaxThreads = 64;
 std::optional<long long> parseInt(const char *text, long long min,
                                   long long max = LLONG_MAX);
 
-/** parseInt(), and on refusal one line on stderr:
- *  "<prog>: <flag> wants an integer in [min, max], got '<text>'". */
-std::optional<long long> intFlag(const char *prog, const char *flag,
-                                 const char *text, long long min,
-                                 long long max = LLONG_MAX);
+/**
+ * One tool's command line, argv[0..argc). Each reader takes @p i at a
+ * flag, advances it onto the flag's value and returns that value. A
+ * missing value ("<prog>: <flag> needs a value") or a refused one
+ * ("<prog>: <flag> wants an integer in [min, max], got '<text>'", or "a
+ * number") is printed with the tool's usage on stderr, and exits 2.
+ */
+class FlagReader
+{
+  public:
+    using Usage = std::function<void(std::FILE *)>;
 
-/** A whole-token finite number in [@p min, @p max], with intFlag()'s
- *  refusal line. */
-std::optional<double> numberFlag(const char *prog, const char *flag,
-                                 const char *text, double min,
-                                 double max = HUGE_VAL);
+    FlagReader(std::string prog, Usage usage, int argc, char **argv)
+        : prog_(std::move(prog)), usage_(std::move(usage)), argc_(argc),
+          argv_(argv)
+    {
+    }
+
+    const char *value(int &i) const;
+    long long integer(int &i, long long min, long long max = INT_MAX) const;
+    double number(int &i, double min, double max = HUGE_VAL) const;
+
+    /** Print "<prog>: @p message" and the usage on stderr; exit 2. */
+    [[noreturn]] void refuse(const std::string &message) const;
+
+  private:
+    std::string prog_;
+    Usage usage_;
+    int argc_;
+    char **argv_;
+};
 
 } // namespace vpm::cli
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -361,17 +360,6 @@ findString(const std::string &line, std::string_view key)
         }
     }
     return std::nullopt;
-}
-
-std::optional<std::int64_t>
-integerIn(const JsonValue &value, std::int64_t min, std::int64_t max)
-{
-    if (value.kind != JsonValue::Kind::Number ||
-        value.number != std::floor(value.number) ||
-        value.number < static_cast<double>(min) ||
-        value.number > static_cast<double>(max))
-        return std::nullopt;
-    return static_cast<std::int64_t>(value.number);
 }
 
 namespace {

@@ -22,6 +22,7 @@
 #ifndef VPM_TELEMETRY_JSON_UTIL_HPP
 #define VPM_TELEMETRY_JSON_UTIL_HPP
 
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
@@ -111,11 +112,6 @@ std::optional<std::string> findString(const std::string &line,
 /** Largest integer a JSON number (an IEEE double) holds exactly: 2^53. */
 inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
 
-/** @p value as an integer in [@p min, @p max]: a number with no
- *  fractional part, in range — never a truncating or overflowing cast. */
-std::optional<std::int64_t> integerIn(const JsonValue &value,
-                                      std::int64_t min, std::int64_t max);
-
 /** @name Strict member reads for schema'd inputs (specs, manifests)
  *  Each reads member @p key of object @p obj into @p out. An absent
  *  member leaves @p out as it is; a member of the wrong JSON kind — or,
@@ -138,14 +134,18 @@ readInteger(const JsonValue &obj, const char *key, std::int64_t min,
     const JsonValue *value = obj.find(key);
     if (value == nullptr)
         return true;
-    const std::optional<std::int64_t> parsed = integerIn(*value, min, max);
-    if (!parsed) {
+    // A number with no fractional part, in range: never a truncating or
+    // overflowing cast.
+    if (value->kind != JsonValue::Kind::Number ||
+        value->number != std::floor(value->number) ||
+        value->number < static_cast<double>(min) ||
+        value->number > static_cast<double>(max)) {
         if (error != nullptr)
             *error = std::string("'") + key + "' must be an integer in [" +
                      std::to_string(min) + ", " + std::to_string(max) + "]";
         return false;
     }
-    out = static_cast<Int>(*parsed);
+    out = static_cast<Int>(value->number);
     return true;
 }
 

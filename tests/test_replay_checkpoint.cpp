@@ -154,6 +154,7 @@ TEST(ReplaySpecTest, ParseRejectsGarbageAndWrongSchema)
         ReplaySpec out;
         std::string error;
         EXPECT_FALSE(parseSpecJson(row.text, out, &error));
+        EXPECT_FALSE(error.empty());
         EXPECT_NE(error.find(row.errorNames), std::string::npos) << error;
     }
     ReplaySpec out;

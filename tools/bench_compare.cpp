@@ -25,7 +25,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "telemetry/bench_report.hpp"
@@ -84,27 +83,10 @@ main(int argc, char **argv)
     std::string next_path;
     CompareOptions options;
     bool advisory = false;
+    const vpm::cli::FlagReader flags("bench_compare", printUsage, argc, argv);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "bench_compare: %s needs a value\n",
-                             flag);
-                printUsage(stderr);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        const auto number = [&](const char *flag, double &out) {
-            const std::optional<double> parsed =
-                vpm::cli::numberFlag("bench_compare", flag, value(flag), 0.0);
-            if (parsed)
-                out = *parsed;
-            else
-                printUsage(stderr);
-            return parsed.has_value();
-        };
 
         if (arg == "--help") {
             printUsage(stdout);
@@ -114,31 +96,21 @@ main(int argc, char **argv)
         } else if (arg == "--no-ci") {
             options.ciGate = false;
         } else if (arg == "--threshold-pct") {
-            if (!number("--threshold-pct", options.thresholdPct))
-                return 2;
+            options.thresholdPct = flags.number(i, 0.0);
         } else if (arg == "--zone-threshold-pct") {
-            if (!number("--zone-threshold-pct", options.zoneThresholdPct))
-                return 2;
+            options.zoneThresholdPct = flags.number(i, 0.0);
         } else if (arg == "--min-zone-ms") {
-            if (!number("--min-zone-ms", options.minZoneMs))
-                return 2;
+            options.minZoneMs = flags.number(i, 0.0);
         } else if (arg == "--rss-threshold-pct") {
-            if (!number("--rss-threshold-pct", options.rssThresholdPct))
-                return 2;
+            options.rssThresholdPct = flags.number(i, 0.0);
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "bench_compare: unknown option '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
+            flags.refuse("unknown option '" + arg + "'");
         } else if (base_path.empty()) {
             base_path = arg;
         } else if (next_path.empty()) {
             next_path = arg;
         } else {
-            std::fprintf(stderr, "bench_compare: unexpected argument '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
+            flags.refuse("unexpected argument '" + arg + "'");
         }
     }
 

@@ -92,41 +92,6 @@ printUsage(std::FILE *out)
         vpm::mgmt::policyNameList().c_str());
 }
 
-[[noreturn]] void
-usageError(const char *fmt, const char *detail)
-{
-    std::fprintf(stderr, "replay: ");
-    std::fprintf(stderr, fmt, detail);
-    std::fprintf(stderr, "\n");
-    printUsage(stderr);
-    std::exit(2);
-}
-
-long long
-parseIntArg(const char *flag, const char *text, long long min,
-            long long max = INT_MAX)
-{
-    const std::optional<long long> parsed =
-        vpm::cli::intFlag("replay", flag, text, min, max);
-    if (!parsed) {
-        printUsage(stderr);
-        std::exit(2);
-    }
-    return *parsed;
-}
-
-double
-parseNumArg(const char *flag, const char *text, double min)
-{
-    const std::optional<double> parsed =
-        vpm::cli::numberFlag("replay", flag, text, min);
-    if (!parsed) {
-        printUsage(stderr);
-        std::exit(2);
-    }
-    return *parsed;
-}
-
 /** Deterministic result JSON: metrics that are byte-identical at any
  *  thread count, plus the state digest — the CI cmp artifact. */
 void
@@ -146,7 +111,8 @@ writeResultJson(const vpm::replay::ReplaySession &session,
     out << "  \"policy\": \"" << vpm::telemetry::jsonEscape(spec.policy)
         << "\",\n";
     out << "  \"hosts\": " << spec.hosts << ",\n";
-    out << "  \"duration_hours\": " << exactNumber(spec.durationHours) << ",\n";
+    out << "  \"duration_hours\": " << exactNumber(spec.durationHours)
+        << ",\n";
     out << "  \"seed\": " << spec.seed << ",\n";
     out << "  \"state_digest\": \"" << digest_hex << "\",\n";
     out << "  \"events_processed\": " << result.eventsProcessed << ",\n";
@@ -187,6 +153,7 @@ writeResultJson(const vpm::replay::ReplaySession &session,
 int
 cmdGenTrace(int argc, char **argv)
 {
+    const vpm::cli::FlagReader flags("replay", printUsage, argc, argv);
     std::string out_path;
     int vms = 100;
     double hours = 24.0;
@@ -198,37 +165,27 @@ cmdGenTrace(int argc, char **argv)
 
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
         if (arg == "--out")
-            out_path = value("--out");
+            out_path = flags.value(i);
         else if (arg == "--vms")
-            vms = static_cast<int>(parseIntArg("--vms", value("--vms"), 1));
+            vms = static_cast<int>(flags.integer(i, 1));
         else if (arg == "--hours")
-            hours = parseNumArg("--hours", value("--hours"), 1e-9);
+            hours = flags.number(i, 1e-9);
         else if (arg == "--seed")
-            seed = static_cast<std::uint64_t>(
-                parseIntArg("--seed", value("--seed"), 0, LLONG_MAX));
+            seed = static_cast<std::uint64_t>(flags.integer(i, 0, LLONG_MAX));
         else if (arg == "--load-scale")
-            load_scale =
-                parseNumArg("--load-scale", value("--load-scale"), 1e-9);
+            load_scale = flags.number(i, 1e-9);
         else if (arg == "--sample-interval-s")
-            sample_interval_s = parseNumArg(
-                "--sample-interval-s", value("--sample-interval-s"), 1e-9);
+            sample_interval_s = flags.number(i, 1e-9);
         else if (arg == "--quantum")
-            quantum = parseIntArg("--quantum", value("--quantum"), 1,
-                                  UINT32_MAX);
+            quantum = flags.integer(i, 1, UINT32_MAX);
         else if (arg == "--chunk-samples")
-            chunk_samples = parseIntArg(
-                "--chunk-samples", value("--chunk-samples"), 2, UINT32_MAX);
+            chunk_samples = flags.integer(i, 2, UINT32_MAX);
         else
-            usageError("gen-trace: unknown option '%s'", arg.c_str());
+            flags.refuse("gen-trace: unknown option '" + arg + "'");
     }
     if (out_path.empty())
-        usageError("gen-trace needs %s", "--out");
+        flags.refuse("gen-trace needs --out");
 
     vpm::sim::Rng rng(seed);
     vpm::workload::MixConfig mix;
@@ -269,6 +226,7 @@ cmdGenTrace(int argc, char **argv)
 int
 cmdRun(int argc, char **argv)
 {
+    const vpm::cli::FlagReader flags("replay", printUsage, argc, argv);
     std::string spec_path;
     std::string checkpoint_path;
     double checkpoint_hours = -1.0;
@@ -279,83 +237,65 @@ cmdRun(int argc, char **argv)
 
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
         if (arg == "--spec") {
-            spec_path = value("--spec");
+            spec_path = flags.value(i);
         } else if (arg == "--trace") {
-            spec.tracePath = value("--trace");
+            spec.tracePath = flags.value(i);
             have_flags = true;
         } else if (arg == "--hosts") {
-            spec.hosts = static_cast<int>(
-                parseIntArg("--hosts", value("--hosts"), 1));
+            spec.hosts = static_cast<int>(flags.integer(i, 1));
             have_flags = true;
         } else if (arg == "--vms") {
-            spec.vms =
-                static_cast<int>(parseIntArg("--vms", value("--vms"), 0));
+            spec.vms = static_cast<int>(flags.integer(i, 0));
             have_flags = true;
         } else if (arg == "--policy") {
-            spec.policy = value("--policy");
+            spec.policy = flags.value(i);
             have_flags = true;
         } else if (arg == "--duration-hours") {
-            spec.durationHours = parseNumArg(
-                "--duration-hours", value("--duration-hours"), 1e-9);
+            spec.durationHours = flags.number(i, 1e-9);
             have_flags = true;
         } else if (arg == "--eval-interval-s") {
-            spec.evalIntervalS = parseNumArg(
-                "--eval-interval-s", value("--eval-interval-s"), 1e-9);
+            spec.evalIntervalS = flags.number(i, 1e-9);
             have_flags = true;
         } else if (arg == "--manager-period-min") {
-            spec.managerPeriodMin =
-                parseNumArg("--manager-period-min",
-                            value("--manager-period-min"), 1e-9);
+            spec.managerPeriodMin = flags.number(i, 1e-9);
             have_flags = true;
         } else if (arg == "--exit-latency-s") {
-            spec.exitLatencyS = parseNumArg("--exit-latency-s",
-                                            value("--exit-latency-s"), 0.0);
+            spec.exitLatencyS = flags.number(i, 0.0);
             have_flags = true;
         } else if (arg == "--loaded-fraction") {
-            spec.loadedFraction = parseNumArg(
-                "--loaded-fraction", value("--loaded-fraction"), 1e-9);
+            spec.loadedFraction = flags.number(i, 1e-9);
             have_flags = true;
         } else if (arg == "--hierarchical") {
             spec.hierarchical = true;
             have_flags = true;
         } else if (arg == "--seed") {
-            spec.seed = static_cast<std::uint64_t>(parseIntArg(
-                "--seed", value("--seed"), 0,
-                vpm::telemetry::kMaxExactInteger));
+            spec.seed = static_cast<std::uint64_t>(
+                flags.integer(i, 0, vpm::telemetry::kMaxExactInteger));
             have_flags = true;
         } else if (arg == "--window-bytes") {
             spec.windowBytes = static_cast<std::uint64_t>(
-                parseIntArg("--window-bytes", value("--window-bytes"), 1,
-                            vpm::telemetry::kMaxExactInteger));
+                flags.integer(i, 1, vpm::telemetry::kMaxExactInteger));
             have_flags = true;
         } else if (arg == "--governor-period-s") {
-            spec.governorPeriodS = parseNumArg(
-                "--governor-period-s", value("--governor-period-s"), 0.0);
+            spec.governorPeriodS = flags.number(i, 0.0);
             have_flags = true;
         } else if (arg == "--checkpoint") {
-            checkpoint_path = value("--checkpoint");
+            checkpoint_path = flags.value(i);
         } else if (arg == "--checkpoint-hours") {
-            checkpoint_hours = parseNumArg(
-                "--checkpoint-hours", value("--checkpoint-hours"), 0.0);
+            checkpoint_hours = flags.number(i, 0.0);
         } else if (arg == "--json") {
-            json_path = value("--json");
+            json_path = flags.value(i);
         } else if (arg == "--threads") {
             threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1,
-                            vpm::cli::kMaxThreads));
+                flags.integer(i, 1, vpm::cli::kMaxThreads));
         } else {
-            usageError("run: unknown option '%s'", arg.c_str());
+            flags.refuse("run: unknown option '" + arg + "'");
         }
     }
 
     if (!spec_path.empty() && have_flags)
-        usageError("run: %s", "--spec excludes inline spec flags");
+        flags.refuse("run: --spec excludes inline spec flags");
     std::string error;
     if (!spec_path.empty()) {
         std::ifstream in(spec_path);
@@ -372,12 +312,12 @@ cmdRun(int argc, char **argv)
             return 3;
         }
     } else if (spec.tracePath.empty()) {
-        usageError("run needs %s", "--spec or --trace");
+        flags.refuse("run needs --spec or --trace");
     }
     if (!checkpoint_path.empty() && checkpoint_hours < 0.0)
-        usageError("run: %s", "--checkpoint needs --checkpoint-hours");
+        flags.refuse("run: --checkpoint needs --checkpoint-hours");
     if (checkpoint_hours >= spec.durationHours && !checkpoint_path.empty())
-        usageError("run: %s", "--checkpoint-hours must be < duration");
+        flags.refuse("run: --checkpoint-hours must be < duration");
 
     if (threads > 0)
         vpm::sim::setGlobalThreads(static_cast<unsigned>(threads));
@@ -421,6 +361,7 @@ cmdRun(int argc, char **argv)
 int
 cmdResume(int argc, char **argv)
 {
+    const vpm::cli::FlagReader flags("replay", printUsage, argc, argv);
     std::string checkpoint_path;
     std::string json_path;
     int threads = 0;
@@ -428,26 +369,20 @@ cmdResume(int argc, char **argv)
 
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
         if (arg == "--checkpoint")
-            checkpoint_path = value("--checkpoint");
+            checkpoint_path = flags.value(i);
         else if (arg == "--json")
-            json_path = value("--json");
+            json_path = flags.value(i);
         else if (arg == "--threads")
             threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1,
-                            vpm::cli::kMaxThreads));
+                flags.integer(i, 1, vpm::cli::kMaxThreads));
         else if (arg == "--no-verify")
             verify = false;
         else
-            usageError("resume: unknown option '%s'", arg.c_str());
+            flags.refuse("resume: unknown option '" + arg + "'");
     }
     if (checkpoint_path.empty())
-        usageError("resume needs %s", "--checkpoint");
+        flags.refuse("resume needs --checkpoint");
 
     if (threads > 0)
         vpm::sim::setGlobalThreads(static_cast<unsigned>(threads));
@@ -489,6 +424,7 @@ cmdResume(int argc, char **argv)
 int
 cmdBranch(int argc, char **argv)
 {
+    const vpm::cli::FlagReader flags("replay", printUsage, argc, argv);
     std::string checkpoint_path;
     std::string grid_path;
     std::string out_dir;
@@ -496,28 +432,22 @@ cmdBranch(int argc, char **argv)
 
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
         if (arg == "--checkpoint")
-            checkpoint_path = value("--checkpoint");
+            checkpoint_path = flags.value(i);
         else if (arg == "--grid")
-            grid_path = value("--grid");
+            grid_path = flags.value(i);
         else if (arg == "--out")
-            out_dir = value("--out");
+            out_dir = flags.value(i);
         else if (arg == "--threads")
             options.threads = static_cast<int>(
-                parseIntArg("--threads", value("--threads"), 1,
-                            vpm::cli::kMaxThreads));
+                flags.integer(i, 1, vpm::cli::kMaxThreads));
         else if (arg == "--no-verify")
             options.verify = false;
         else
-            usageError("branch: unknown option '%s'", arg.c_str());
+            flags.refuse("branch: unknown option '" + arg + "'");
     }
     if (checkpoint_path.empty() || grid_path.empty() || out_dir.empty())
-        usageError("branch needs %s", "--checkpoint, --grid and --out");
+        flags.refuse("branch needs --checkpoint, --grid and --out");
 
     vpm::replay::CheckpointData ckpt;
     std::string error;
@@ -567,24 +497,20 @@ cmdBranch(int argc, char **argv)
 int
 cmdInspect(int argc, char **argv)
 {
+    const vpm::cli::FlagReader flags("replay", printUsage, argc, argv);
     std::string trace_path;
     std::string checkpoint_path;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                usageError("%s needs a value", flag);
-            return argv[++i];
-        };
         if (arg == "--trace")
-            trace_path = value("--trace");
+            trace_path = flags.value(i);
         else if (arg == "--checkpoint")
-            checkpoint_path = value("--checkpoint");
+            checkpoint_path = flags.value(i);
         else
-            usageError("inspect: unknown option '%s'", arg.c_str());
+            flags.refuse("inspect: unknown option '" + arg + "'");
     }
     if (trace_path.empty() == checkpoint_path.empty())
-        usageError("inspect needs %s", "exactly one of --trace/--checkpoint");
+        flags.refuse("inspect needs exactly one of --trace/--checkpoint");
 
     std::string error;
     if (!trace_path.empty()) {
@@ -645,5 +571,7 @@ main(int argc, char **argv)
         return cmdBranch(argc - 2, argv + 2);
     if (cmd == "inspect")
         return cmdInspect(argc - 2, argv + 2);
-    usageError("unknown subcommand '%s'", cmd.c_str());
+    std::fprintf(stderr, "replay: unknown subcommand '%s'\n", cmd.c_str());
+    printUsage(stderr);
+    return 2;
 }

@@ -55,19 +55,6 @@ printUsage(std::FILE *out)
         "exit codes: 0 ok, 1 cells failed, 2 usage, 3 bad input\n");
 }
 
-int
-parseIntArg(const char *flag, const char *text, int min,
-            long long max = INT_MAX)
-{
-    const std::optional<long long> parsed =
-        vpm::cli::intFlag("sweep", flag, text, min, max);
-    if (!parsed) {
-        printUsage(stderr);
-        std::exit(2);
-    }
-    return static_cast<int>(*parsed);
-}
-
 } // namespace
 
 int
@@ -81,71 +68,46 @@ main(int argc, char **argv)
     bool list_only = false;
     long long cell_index = -1;
     std::string cell_out;
+    const cli::FlagReader flags("sweep", printUsage, argc, argv);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "sweep: %s needs a value\n", flag);
-                printUsage(stderr);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-
         if (arg == "--help") {
             printUsage(stdout);
             return 0;
         } else if (arg == "--out") {
-            options.outDir = value("--out");
+            options.outDir = flags.value(i);
         } else if (arg == "--threads") {
-            options.threads = parseIntArg("--threads", value("--threads"), 1,
-                                          vpm::cli::kMaxThreads);
+            options.threads =
+                static_cast<int>(flags.integer(i, 1, cli::kMaxThreads));
         } else if (arg == "--repeats") {
-            options.repeatsOverride =
-                parseIntArg("--repeats", value("--repeats"), 1);
+            options.repeatsOverride = static_cast<int>(flags.integer(i, 1));
         } else if (arg == "--exec") {
-            const std::string mode = value("--exec");
+            const std::string mode = flags.value(i);
             if (mode == "inproc") {
                 options.exec = sweep::ExecMode::InProc;
             } else if (mode == "process") {
                 options.exec = sweep::ExecMode::Process;
             } else {
-                std::fprintf(stderr,
-                             "sweep: --exec wants inproc|process, got "
-                             "'%s'\n",
-                             mode.c_str());
-                printUsage(stderr);
-                return 2;
+                flags.refuse("--exec wants inproc|process, got '" + mode +
+                             "'");
             }
         } else if (arg == "--timeout-s") {
-            const std::optional<double> timeout = vpm::cli::numberFlag(
-                "sweep", "--timeout-s", value("--timeout-s"), 0.0);
-            if (!timeout) {
-                printUsage(stderr);
-                return 2;
-            }
-            options.timeoutS = *timeout;
+            options.timeoutS = flags.number(i, 0.0);
         } else if (arg == "--resume") {
             options.resume = true;
         } else if (arg == "--list") {
             list_only = true;
         } else if (arg == "--cell") {
-            cell_index = parseIntArg("--cell", value("--cell"), 0);
+            cell_index = flags.integer(i, 0);
         } else if (arg == "--cell-out") {
-            cell_out = value("--cell-out");
+            cell_out = flags.value(i);
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "sweep: unknown option '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
+            flags.refuse("unknown option '" + arg + "'");
         } else if (manifest_path.empty()) {
             manifest_path = arg;
         } else {
-            std::fprintf(stderr, "sweep: unexpected argument '%s'\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
+            flags.refuse("unexpected argument '" + arg + "'");
         }
     }
 

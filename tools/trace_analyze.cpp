@@ -29,7 +29,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "telemetry/cli.hpp"
@@ -56,9 +55,10 @@ usage(std::FILE *out)
         "<x>] [--quiet]\n");
 }
 
-bool
+void
 parseArgs(int argc, char **argv, Options &opts)
 {
+    const vpm::cli::FlagReader flags("trace_analyze", usage, argc, argv);
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--help") == 0) {
             usage(stdout);
@@ -70,55 +70,28 @@ parseArgs(int argc, char **argv, Options &opts)
         }
     }
     if (argc < 2)
-        return false;
-    if (argv[1][0] == '-') {
-        std::fprintf(stderr, "trace_analyze: unknown option '%s'\n", argv[1]);
-        return false;
-    }
+        flags.refuse("missing <journal.jsonl>");
+    if (argv[1][0] == '-')
+        flags.refuse(std::string("unknown option '") + argv[1] + "'");
     opts.path = argv[1];
 
-    const auto needValue = [&](int i) {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "trace_analyze: %s needs a value\n",
-                         argv[i]);
-            return false;
-        }
-        return true;
-    };
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--check") == 0) {
             opts.check = true;
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             opts.quiet = true;
         } else if (std::strcmp(argv[i], "--json") == 0) {
-            if (!needValue(i))
-                return false;
-            opts.jsonPath = argv[++i];
+            opts.jsonPath = flags.value(i);
         } else if (std::strcmp(argv[i], "--tolerance-us") == 0) {
             // Strict whole-token parse: "--tolerance-us bogus" used to
             // strtoll() to 0 and silently tighten the sum check.
-            if (!needValue(i))
-                return false;
-            const std::optional<long long> parsed = vpm::cli::intFlag(
-                "trace_analyze", "--tolerance-us", argv[++i], 0);
-            if (!parsed)
-                return false;
-            opts.analyzer.toleranceUs = *parsed;
+            opts.analyzer.toleranceUs = flags.integer(i, 0, LLONG_MAX);
         } else if (std::strcmp(argv[i], "--respread-window-s") == 0) {
-            if (!needValue(i))
-                return false;
-            const std::optional<double> parsed = vpm::cli::numberFlag(
-                "trace_analyze", "--respread-window-s", argv[++i], 0.0);
-            if (!parsed)
-                return false;
-            opts.analyzer.respreadWindowS = *parsed;
+            opts.analyzer.respreadWindowS = flags.number(i, 0.0);
         } else {
-            std::fprintf(stderr, "trace_analyze: unknown option '%s'\n",
-                         argv[i]);
-            return false;
+            flags.refuse(std::string("unknown option '") + argv[i] + "'");
         }
     }
-    return true;
 }
 
 } // namespace
@@ -127,10 +100,7 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage(stderr);
-        return 2;
-    }
+    parseArgs(argc, argv, opts);
 
     std::ifstream in(opts.path);
     if (!in) {

@@ -37,7 +37,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -149,21 +148,10 @@ usage(std::FILE *out)
         "                     [--format jsonl|csv]\n");
 }
 
-/** Strict integer flag value (cli::intFlag) stored into @p out. */
-bool
-parseIntFlag(const char *flag, const char *text, std::int64_t min,
-             std::int64_t &out)
-{
-    const std::optional<long long> parsed =
-        vpm::cli::intFlag("trace_inspect", flag, text, min);
-    if (parsed)
-        out = *parsed;
-    return parsed.has_value();
-}
-
-bool
+void
 parseArgs(int argc, char **argv, Options &opts)
 {
+    const vpm::cli::FlagReader flags("trace_inspect", usage, argc, argv);
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--help") == 0) {
             usage(stdout);
@@ -175,67 +163,36 @@ parseArgs(int argc, char **argv, Options &opts)
         }
     }
     if (argc < 2)
-        return false;
-    if (argv[1][0] == '-') {
-        std::fprintf(stderr, "trace_inspect: unknown option '%s'\n", argv[1]);
-        return false;
-    }
+        flags.refuse("missing <journal.jsonl>");
+    if (argv[1][0] == '-')
+        flags.refuse(std::string("unknown option '") + argv[1] + "'");
     opts.path = argv[1];
 
-    const auto needValue = [&](int i) {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "trace_inspect: %s needs a value\n",
-                         argv[i]);
-            return false;
-        }
-        return true;
-    };
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--summary") == 0) {
             opts.summary = true;
         } else if (std::strcmp(argv[i], "--kind") == 0) {
-            if (!needValue(i))
-                return false;
-            opts.kind = argv[++i];
+            opts.kind = flags.value(i);
         } else if (std::strcmp(argv[i], "--track") == 0) {
-            if (!needValue(i))
-                return false;
-            opts.track = argv[++i];
+            opts.track = flags.value(i);
         } else if (std::strcmp(argv[i], "--since-us") == 0) {
-            if (!needValue(i) ||
-                !parseIntFlag("--since-us", argv[++i], INT64_MIN,
-                              opts.sinceUs))
-                return false;
+            opts.sinceUs = flags.integer(i, INT64_MIN, INT64_MAX);
         } else if (std::strcmp(argv[i], "--until-us") == 0) {
-            if (!needValue(i) ||
-                !parseIntFlag("--until-us", argv[++i], INT64_MIN,
-                              opts.untilUs))
-                return false;
+            opts.untilUs = flags.integer(i, INT64_MIN, INT64_MAX);
         } else if (std::strcmp(argv[i], "--limit") == 0) {
-            std::int64_t limit = 0;
-            if (!needValue(i) || !parseIntFlag("--limit", argv[++i], 0, limit))
-                return false;
-            opts.limit = static_cast<std::uint64_t>(limit);
+            opts.limit =
+                static_cast<std::uint64_t>(flags.integer(i, 0, INT64_MAX));
         } else if (std::strcmp(argv[i], "--format") == 0) {
-            if (!needValue(i))
-                return false;
-            const char *format = argv[++i];
-            if (std::strcmp(format, "csv") == 0) {
+            const std::string format = flags.value(i);
+            if (format == "csv")
                 opts.csv = true;
-            } else if (std::strcmp(format, "jsonl") != 0) {
-                std::fprintf(stderr,
-                             "trace_inspect: unknown format '%s' (want "
-                             "jsonl or csv)\n",
-                             format);
-                return false;
-            }
+            else if (format != "jsonl")
+                flags.refuse("unknown format '" + format +
+                             "' (want jsonl or csv)");
         } else {
-            std::fprintf(stderr, "trace_inspect: unknown option '%s'\n",
-                         argv[i]);
-            return false;
+            flags.refuse(std::string("unknown option '") + argv[i] + "'");
         }
     }
-    return true;
 }
 
 } // namespace
@@ -244,10 +201,7 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parseArgs(argc, argv, opts)) {
-        usage(stderr);
-        return 2;
-    }
+    parseArgs(argc, argv, opts);
 
     std::ifstream in(opts.path);
     if (!in) {

@@ -37,7 +37,6 @@ using namespace vpm;
 struct Options
 {
     std::string policy = "s3"; ///< a policy registry name
-    std::string policyLabel;   ///< its table label
     int hosts = 8;
     int vms = 40;
     double hours = 24.0;
@@ -92,96 +91,79 @@ usage(const char *argv0, int code)
     std::exit(code);
 }
 
-long long
-parseIntValue(const char *argv0, const char *flag, const char *text,
-              long long min, long long max = INT_MAX)
-{
-    const std::optional<long long> parsed =
-        cli::intFlag("vpm_sim", flag, text, min, max);
-    if (!parsed)
-        usage(argv0, 2);
-    return *parsed;
-}
-
-double
-parseNumValue(const char *argv0, const char *flag, const char *text,
-              double min)
-{
-    const std::optional<double> parsed =
-        cli::numberFlag("vpm_sim", flag, text, min);
-    if (!parsed)
-        usage(argv0, 2);
-    return *parsed;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    const auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n\n", argv[i]);
-            usage(argv[0], 2);
-        }
-        return argv[++i];
-    };
+    const cli::FlagReader flags(
+        "vpm_sim", [&](std::FILE *) { usage(argv[0], 2); }, argc, argv);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h")
             usage(argv[0], 0);
         else if (arg == "--policy")
-            opts.policy = need_value(i);
+            opts.policy = flags.value(i);
         else if (arg == "--hosts")
-            opts.hosts = static_cast<int>(
-                parseIntValue(argv[0], "--hosts", need_value(i), 1));
+            opts.hosts = static_cast<int>(flags.integer(i, 1));
         else if (arg == "--vms")
-            opts.vms = static_cast<int>(
-                parseIntValue(argv[0], "--vms", need_value(i), 0));
+            opts.vms = static_cast<int>(flags.integer(i, 0));
         else if (arg == "--hours")
-            opts.hours =
-                parseNumValue(argv[0], "--hours", need_value(i), 1e-9);
+            opts.hours = flags.number(i, 1e-9);
         else if (arg == "--load-scale")
-            opts.loadScale = parseNumValue(argv[0], "--load-scale",
-                                           need_value(i), 0.0);
+            opts.loadScale = flags.number(i, 0.0);
         else if (arg == "--seed")
-            opts.seed = static_cast<std::uint64_t>(parseIntValue(
-                argv[0], "--seed", need_value(i), 0, LLONG_MAX));
+            opts.seed = static_cast<std::uint64_t>(
+                flags.integer(i, 0, LLONG_MAX));
         else if (arg == "--period")
-            opts.managerMinutes =
-                parseNumValue(argv[0], "--period", need_value(i), 1.0);
+            opts.managerMinutes = flags.number(i, 1.0);
         else if (arg == "--churn")
-            opts.churnPerHour =
-                parseNumValue(argv[0], "--churn", need_value(i), 0.0);
+            opts.churnPerHour = flags.number(i, 0.0);
         else if (arg == "--dvfs")
             opts.dvfs = true;
         else if (arg == "--legacy-mix")
             opts.legacyMix = true;
         else if (arg == "--weekend")
-            opts.weekendFactor =
-                parseNumValue(argv[0], "--weekend", need_value(i), 0.0);
+            opts.weekendFactor = flags.number(i, 0.0);
         else if (arg == "--threads")
-            opts.threads = static_cast<int>(parseIntValue(
-                argv[0], "--threads", need_value(i), 1, cli::kMaxThreads));
+            opts.threads =
+                static_cast<int>(flags.integer(i, 1, cli::kMaxThreads));
         else if (arg == "--csv")
-            opts.csvPath = need_value(i);
+            opts.csvPath = flags.value(i);
         else if (arg == "--spec")
-            opts.specPath = need_value(i);
+            opts.specPath = flags.value(i);
         else if (arg == "--timeseries")
-            opts.timeseriesPath = need_value(i);
+            opts.timeseriesPath = flags.value(i);
         else if (arg == "--watchdog")
-            opts.watchdogPath = need_value(i);
-        else {
-            std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-            usage(argv[0], 2);
-        }
+            opts.watchdogPath = flags.value(i);
+        else
+            flags.refuse("unknown option '" + arg + "'");
     }
+    return opts;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const Options opts = parseArgs(argc, argv);
+
+    mgmt::ScenarioConfig config;
+    config.hostCount = opts.hosts;
+    config.vmCount = opts.vms;
+    config.duration = sim::SimTime::hours(opts.hours);
+    config.mix.loadScale = opts.loadScale;
+    config.mix.weekendFactor = opts.weekendFactor;
+    config.seed = opts.seed;
+    if (!opts.specPath.empty())
+        config.powerSpec = power::loadHostSpec(opts.specPath);
 
     // Policy errors are usage errors, caught before anything runs: an
     // unknown name, or a joint governor (which owns the speed knob)
     // combined with the DVFS governor.
-    const std::optional<mgmt::PolicyPreset> preset = mgmt::resolvePolicy(
-        opts.policy, sim::SimTime::minutes(1.0), false);
+    const std::optional<mgmt::PolicyPreset> preset =
+        mgmt::applyPolicy(config, opts.policy);
     if (!preset) {
         std::fprintf(stderr, "vpm_sim: unknown policy '%s'\n\n",
                      opts.policy.c_str());
@@ -194,16 +176,7 @@ parseArgs(int argc, char **argv)
                      opts.policy.c_str());
         usage(argv[0], 2);
     }
-    opts.policyLabel = preset->label;
-    return opts;
-}
 
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    const Options opts = parseArgs(argc, argv);
     sim::setGlobalThreads(static_cast<unsigned>(opts.threads));
 
     // Live telemetry: enable the downsampling store (and watchdog rules)
@@ -237,16 +210,6 @@ main(int argc, char **argv)
         }
     }
 
-    mgmt::ScenarioConfig config;
-    config.hostCount = opts.hosts;
-    config.vmCount = opts.vms;
-    config.duration = sim::SimTime::hours(opts.hours);
-    config.mix.loadScale = opts.loadScale;
-    config.mix.weekendFactor = opts.weekendFactor;
-    config.seed = opts.seed;
-    if (!opts.specPath.empty())
-        config.powerSpec = power::loadHostSpec(opts.specPath);
-    mgmt::applyPolicy(config, opts.policy); // validated in parseArgs
     config.manager.period = sim::SimTime::minutes(opts.managerMinutes);
     if (opts.legacyMix) {
         config.heterogeneousSpecs = {power::enterpriseBlade2013(),
@@ -280,7 +243,7 @@ main(int argc, char **argv)
 
     const mgmt::ScenarioResult result = mgmt::runScenario(config);
 
-    stats::Table summary("vpm_sim: " + opts.policyLabel,
+    stats::Table summary("vpm_sim: " + preset->label,
                          {"metric", "value"});
     summary.addRow({"simulated hours",
                     stats::fmt(result.metrics.simulatedHours, 1)});

@@ -135,38 +135,27 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    const auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n\n", argv[i]);
-            usage(argv[0], 2);
-        }
-        return argv[++i];
-    };
+    const vpm::cli::FlagReader flags(
+        "vpm_top", [&](std::FILE *) { usage(argv[0], 2); }, argc, argv);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             usage(argv[0], 0);
         } else if (arg == "--query") {
-            opts.query = splitCsvList(need_value(i));
-            if (opts.query.empty()) {
-                std::fprintf(stderr, "--query wants metric names\n\n");
-                usage(argv[0], 2);
-            }
+            opts.query = splitCsvList(flags.value(i));
+            if (opts.query.empty())
+                flags.refuse("--query wants metric names");
         } else if (arg == "--range") {
-            if (!parseRange(need_value(i), opts.rangeBeginUs,
-                            opts.rangeEndUs)) {
-                std::fprintf(stderr, "--range wants 't0:t1'\n\n");
-                usage(argv[0], 2);
-            }
+            if (!parseRange(flags.value(i), opts.rangeBeginUs,
+                            opts.rangeEndUs))
+                flags.refuse("--range wants 't0:t1'");
         } else if (arg == "--format") {
-            const std::string format = need_value(i);
+            const std::string format = flags.value(i);
             if (format == "json")
                 opts.json = true;
-            else if (format != "csv") {
-                std::fprintf(stderr, "--format wants csv or json\n\n");
-                usage(argv[0], 2);
-            }
+            else if (format != "csv")
+                flags.refuse("--format wants csv or json");
         } else if (arg == "--watch") {
             opts.watchSeconds = 2;
             // Optional numeric operand.
@@ -178,20 +167,15 @@ parseArgs(int argc, char **argv)
                 }
             }
         } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-            usage(argv[0], 2);
+            flags.refuse("unknown option '" + arg + "'");
         } else if (opts.path.empty()) {
             opts.path = arg;
         } else {
-            std::fprintf(stderr, "unexpected operand '%s'\n\n",
-                         arg.c_str());
-            usage(argv[0], 2);
+            flags.refuse("unexpected operand '" + arg + "'");
         }
     }
-    if (opts.path.empty()) {
-        std::fprintf(stderr, "missing snapshot path\n\n");
-        usage(argv[0], 2);
-    }
+    if (opts.path.empty())
+        flags.refuse("missing snapshot path");
     return opts;
 }
 
