@@ -33,6 +33,8 @@
 #include <memory>
 #include <string>
 
+#include <unistd.h>
+
 #include "bench_util.hpp"
 #include "replay/session.hpp"
 #include "replay/trace_file.hpp"
@@ -179,11 +181,22 @@ main(int argc, char **argv)
 
     // Generate once, outside the measured body: warmup and --repeat runs
     // re-stream the same file, so the harness measures the reader, not
-    // the generator.
-    const std::string trace_path =
-        (std::filesystem::temp_directory_path() /
-         ("vpm_f13_" + std::to_string(vms) + ".vpmtrc"))
-            .string();
+    // the generator. The process id keeps concurrent runs (two
+    // checkouts, jobs sharing a /tmp) from overwriting each other's file,
+    // and the guard removes it on every return path.
+    struct RemoveOnExit
+    {
+        std::string path;
+        ~RemoveOnExit()
+        {
+            std::error_code ec;
+            std::filesystem::remove(path, ec);
+        }
+    } trace{(std::filesystem::temp_directory_path() /
+             ("vpm_f13_" + std::to_string(vms) + "_" +
+              std::to_string(getpid()) + ".vpmtrc"))
+                .string()};
+    const std::string &trace_path = trace.path;
     std::uint64_t total_samples = 0;
     std::string error;
     if (!generateTrace(trace_path, vms, 24.0, 20130613u, total_samples,
@@ -198,9 +211,5 @@ main(int argc, char **argv)
                  trace_path.c_str(), vms,
                  static_cast<unsigned long long>(total_samples));
 
-    const int rc =
-        vpm::bench::runBench(args, [&] { runBody(args, trace_path); });
-    std::error_code ec;
-    std::filesystem::remove(trace_path, ec);
-    return rc;
+    return vpm::bench::runBench(args, [&] { runBody(args, trace_path); });
 }

@@ -39,47 +39,54 @@ EwmaPredictor::clone() const
     return std::make_unique<EwmaPredictor>(alpha_);
 }
 
-WindowMaxPredictor::WindowMaxPredictor(std::size_t window) : window_(window)
+WindowMaxPredictor::WindowMaxPredictor(std::size_t window) : values_(window)
 {
-    if (window == 0)
-        sim::fatal("WindowMaxPredictor: window must be >= 1");
+    if (window == 0 || window > RingWindow::kCapacity)
+        sim::fatal("WindowMaxPredictor: window must be in [1, %zu], got %zu",
+                   RingWindow::kCapacity, window);
 }
 
 void
 WindowMaxPredictor::observe(double value)
 {
-    values_.push_back(value);
-    if (values_.size() > window_)
-        values_.pop_front();
+    values_.push(value);
 }
 
 double
 WindowMaxPredictor::predict() const
 {
-    if (values_.empty())
+    if (values_.size() == 0)
         return 0.0;
-    return *std::max_element(values_.begin(), values_.end());
+    // Oldest-first with a strict '<': among equal maxima (0.0 and -0.0)
+    // the oldest wins, wherever the ring happens to start.
+    bool first = true;
+    double best = 0.0;
+    values_.forEach([&](double v) {
+        if (first || best < v)
+            best = v;
+        first = false;
+    });
+    return best;
 }
 
 std::unique_ptr<DemandPredictor>
 WindowMaxPredictor::clone() const
 {
-    return std::make_unique<WindowMaxPredictor>(window_);
+    return std::make_unique<WindowMaxPredictor>(values_.window());
 }
 
 LinearTrendPredictor::LinearTrendPredictor(std::size_t window)
-    : window_(window)
+    : values_(window)
 {
-    if (window < 2)
-        sim::fatal("LinearTrendPredictor: window must be >= 2");
+    if (window < 2 || window > RingWindow::kCapacity)
+        sim::fatal("LinearTrendPredictor: window must be in [2, %zu], got "
+                   "%zu", RingWindow::kCapacity, window);
 }
 
 void
 LinearTrendPredictor::observe(double value)
 {
-    values_.push_back(value);
-    if (values_.size() > window_)
-        values_.pop_front();
+    values_.push(value);
 }
 
 double
@@ -89,22 +96,22 @@ LinearTrendPredictor::predict() const
     if (n == 0)
         return 0.0;
     if (n == 1)
-        return values_.front();
+        return values_.newest();
 
     // Least squares of value against index; forecast one step past the end.
     const double nn = static_cast<double>(n);
     double sum_x = 0.0, sum_y = 0.0, sum_xy = 0.0, sum_xx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = static_cast<double>(i);
-        const double y = values_[i];
+    double x = 0.0;
+    values_.forEach([&](double y) {
         sum_x += x;
         sum_y += y;
         sum_xy += x * y;
         sum_xx += x * x;
-    }
+        x += 1.0;
+    });
     const double denom = nn * sum_xx - sum_x * sum_x;
     if (denom == 0.0)
-        return values_.back();
+        return values_.newest();
     const double slope = (nn * sum_xy - sum_x * sum_y) / denom;
     const double intercept = (sum_y - slope * sum_x) / nn;
     return std::max(0.0, intercept + slope * nn);
@@ -113,7 +120,7 @@ LinearTrendPredictor::predict() const
 std::unique_ptr<DemandPredictor>
 LinearTrendPredictor::clone() const
 {
-    return std::make_unique<LinearTrendPredictor>(window_);
+    return std::make_unique<LinearTrendPredictor>(values_.window());
 }
 
 PeriodicProfilePredictor::PeriodicProfilePredictor(
@@ -188,15 +195,13 @@ EwmaPredictor::appendState(std::vector<double> &out) const
 void
 WindowMaxPredictor::appendState(std::vector<double> &out) const
 {
-    out.push_back(static_cast<double>(values_.size()));
-    out.insert(out.end(), values_.begin(), values_.end());
+    values_.appendState(out);
 }
 
 void
 LinearTrendPredictor::appendState(std::vector<double> &out) const
 {
-    out.push_back(static_cast<double>(values_.size()));
-    out.insert(out.end(), values_.begin(), values_.end());
+    values_.appendState(out);
 }
 
 void

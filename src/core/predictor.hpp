@@ -13,8 +13,9 @@
 #ifndef VPM_CORE_PREDICTOR_HPP
 #define VPM_CORE_PREDICTOR_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 #include <memory>
 #include <string>
@@ -48,6 +49,63 @@ class DemandPredictor
     {
         (void)out;
     }
+};
+
+/**
+ * The last @c window observations, held inline in a fixed-capacity ring
+ * so a per-VM predictor is one small object rather than a deque's map and
+ * node on the heap. Visiting and state appends run oldest-first.
+ */
+class RingWindow
+{
+  public:
+    /** Largest window a ring holds. */
+    static constexpr std::size_t kCapacity = 16;
+
+    /** @param window Observations retained, in [1, kCapacity]; the
+     *  owning predictor validates it. */
+    explicit RingWindow(std::size_t window) : window_(window) {}
+
+    /** Append @p value, dropping the oldest once the window is full. */
+    void push(double value)
+    {
+        values_[next_] = value;
+        next_ = next_ + 1 == window_ ? 0 : next_ + 1;
+        if (size_ < window_)
+            ++size_;
+    }
+
+    std::size_t size() const { return size_; }
+    std::size_t window() const { return window_; }
+
+    /** The most recent observation; the window must not be empty. */
+    double newest() const { return values_[(next_ + window_ - 1) % window_]; }
+
+    /** Call @p f(value) for every held observation, oldest first. */
+    template <typename F>
+    void forEach(F &&f) const
+    {
+        // Until the ring wraps the values sit at [0, size) in order; after
+        // that the oldest is the slot about to be overwritten.
+        const std::size_t oldest = size_ < window_ ? 0 : next_;
+        for (std::size_t i = oldest; i < size_; ++i)
+            f(values_[i]);
+        for (std::size_t i = 0; i < oldest; ++i)
+            f(values_[i]);
+    }
+
+    /** Checkpoint form: the count, then the values oldest-first. */
+    void appendState(std::vector<double> &out) const
+    {
+        out.push_back(static_cast<double>(size_));
+        forEach([&out](double v) { out.push_back(v); });
+    }
+
+  private:
+    std::size_t window_;
+    std::size_t next_ = 0;
+    std::size_t size_ = 0;
+    std::array<double, kCapacity> values_{};
 };
 
 /** Naive persistence: tomorrow looks exactly like right now. */
@@ -89,7 +147,8 @@ class EwmaPredictor final : public DemandPredictor
 class WindowMaxPredictor final : public DemandPredictor
 {
   public:
-    /** @param window Number of recent observations retained (>= 1). */
+    /** @param window Number of recent observations retained, in
+     *  [1, RingWindow::kCapacity]. */
     explicit WindowMaxPredictor(std::size_t window = 6);
 
     void observe(double value) override;
@@ -98,8 +157,7 @@ class WindowMaxPredictor final : public DemandPredictor
     void appendState(std::vector<double> &out) const override;
 
   private:
-    std::size_t window_;
-    std::deque<double> values_;
+    RingWindow values_;
 };
 
 /**
@@ -110,7 +168,8 @@ class WindowMaxPredictor final : public DemandPredictor
 class LinearTrendPredictor final : public DemandPredictor
 {
   public:
-    /** @param window Number of recent observations fitted (>= 2). */
+    /** @param window Number of recent observations fitted, in
+     *  [2, RingWindow::kCapacity]. */
     explicit LinearTrendPredictor(std::size_t window = 6);
 
     void observe(double value) override;
@@ -119,8 +178,7 @@ class LinearTrendPredictor final : public DemandPredictor
     void appendState(std::vector<double> &out) const override;
 
   private:
-    std::size_t window_;
-    std::deque<double> values_;
+    RingWindow values_;
 };
 
 /**

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "simcore/random.hpp"
+
 namespace vpm::replay {
 
 namespace {
@@ -48,17 +50,6 @@ CheckpointData::section(const std::string &name) const
     return nullptr;
 }
 
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t n, std::uint64_t seed)
-{
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 bool
 writeCheckpoint(const CheckpointData &ckpt, const std::string &path,
                 std::string *error)
@@ -81,7 +72,7 @@ writeCheckpoint(const CheckpointData &ckpt, const std::string &path,
         appendRaw(buf, bytes.data(), bytes.size());
     }
     appendScalar<std::uint64_t>(
-        buf, fnv1a(buf.data(), buf.size()));
+        buf, sim::fnv1a(buf.data(), buf.size()));
 
     const std::string tmp = path + ".tmp";
     {
@@ -132,7 +123,7 @@ readCheckpoint(const std::string &path, CheckpointData &out,
     // message instead of a confusing parse error downstream.
     std::uint64_t stored = 0;
     std::memcpy(&stored, buf.data() + buf.size() - 8, 8);
-    if (fnv1a(buf.data(), buf.size() - 8) != stored)
+    if (sim::fnv1a(buf.data(), buf.size() - 8) != stored)
         return fail("checksum mismatch (file corrupt or truncated)");
 
     std::size_t pos = sizeof(kMagic);

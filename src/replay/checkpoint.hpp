@@ -21,7 +21,7 @@
  *     i64 time_us, u64 events_processed
  *     u32 spec_len, spec bytes (vpm-replay-spec-1 JSON)
  *     section_count x { u32 name_len, name bytes, u64 size, bytes }
- *     u64 fnv1a checksum of everything above
+ *     u64 fnv1a checksum of everything above (sim::fnv1a)
  *
  * Section order is fixed by the producer (fleet, tree, events, rng,
  * policy, telemetry) and byte-compared in order on restore.
@@ -55,12 +55,6 @@ struct CheckpointData
     /** The named section, or nullptr. */
     const std::vector<std::uint8_t> *section(const std::string &name) const;
 };
-
-/** FNV-1a over @p data, continuing from @p seed (the offset basis by
- *  default). Used for the checkpoint trailer and the state digests the
- *  replay CLI reports. */
-std::uint64_t fnv1a(const std::uint8_t *data, std::size_t n,
-                    std::uint64_t seed = 14695981039346656037ull);
 
 /** Write @p ckpt to @p path. @return false with @p error set on I/O
  *  failure (written via a temp file + rename, so a crash never leaves a

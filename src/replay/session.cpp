@@ -491,9 +491,9 @@ std::uint64_t
 ReplaySession::stateDigest()
 {
     const CheckpointData ckpt = capture();
-    std::uint64_t h = fnv1a(nullptr, 0);
+    std::uint64_t h = sim::fnv1a(nullptr, 0);
     const auto fold = [&h](const void *data, std::size_t n) {
-        h = fnv1a(static_cast<const std::uint8_t *>(data), n, h);
+        h = sim::fnv1a(data, n, h);
     };
     fold(&ckpt.timeUs, sizeof(ckpt.timeUs));
     fold(&ckpt.eventsProcessed, sizeof(ckpt.eventsProcessed));

@@ -249,18 +249,38 @@ TraceFileWriter::finish(std::string *error)
 
 namespace detail {
 
-/** One decoded chunk, immutable once built; shared so a cache eviction
- *  never invalidates a cursor that still points at it. */
-struct DecodedChunk
+/** One decoded breakpoint: @c util holds from @c ts to the next point. */
+struct Point
 {
-    std::uint32_t vm = 0;
-    std::uint32_t chunkIdx = 0;
-    std::uint64_t selfOffset = 0;
-    std::uint64_t nextOffset = 0; ///< file offset of the next chunk
-    std::int64_t endTs = kOpenEnd;
-    std::vector<std::int64_t> ts;
-    std::vector<double> util;
+    std::int64_t ts;
+    double util;
 };
+
+/** A chunk's points end in a sentinel {end_ts, kSentinelUtil}; levels
+ *  are never negative, so the sentinel is told apart by its level. */
+constexpr double kSentinelUtil = -1.0;
+
+struct ChunkHeader
+{
+    std::uint32_t vm;
+    std::uint32_t chunkIdx;
+    std::uint64_t nextOffset; ///< file offset of the next chunk
+};
+
+/**
+ * A decoded chunk is one array of 16-byte cells: the header, then its
+ * sample_count points, then the sentinel. One allocation, so a cursor
+ * step reads one point and, with its successor, usually one cache line.
+ * Immutable once built; shared so a cache eviction never invalidates a
+ * cursor that still points at it.
+ */
+union ChunkCell
+{
+    ChunkHeader header;
+    Point point;
+};
+static_assert(sizeof(ChunkCell) == 16);
+using DecodedChunk = std::shared_ptr<const ChunkCell[]>;
 
 class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
 {
@@ -274,6 +294,7 @@ class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
         std::uint32_t totalSamples = 0;
     };
     std::vector<VmMeta> vms;
+    std::uint64_t indexOffset = 0;
     std::size_t slotCount = 0;
 
     ~TraceFileImpl()
@@ -285,7 +306,13 @@ class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
     }
 
     bool openFile(const std::string &path, std::string *error);
-    bool readAt(std::uint64_t offset, void *dst, std::size_t n);
+    /** Read up to @p n bytes at @p offset; @return the count read (short
+     *  only at end of file or on an I/O error). */
+    std::size_t readUpTo(std::uint64_t offset, void *dst, std::size_t n);
+    bool readAt(std::uint64_t offset, void *dst, std::size_t n)
+    {
+        return readUpTo(offset, dst, n) == n;
+    }
 
     /**
      * The decoded chunk (vm, chunk_idx) whose header lives at @p offset.
@@ -294,9 +321,8 @@ class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
      * a corrupt chunk — by open()-validation this only happens when the
      * file changed underneath a running simulation.
      */
-    std::shared_ptr<const DecodedChunk>
-    chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
-            std::uint64_t offset);
+    DecodedChunk chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
+                         std::uint64_t offset);
 
     std::uint64_t loads() const
     {
@@ -311,19 +337,30 @@ class TraceFileImpl : public std::enable_shared_from_this<TraceFileImpl>
             static_cast<std::size_t>(info.samplesPerChunk) * 16;
         slotCount = std::max<std::size_t>(
             8, per_chunk > 0 ? window_bytes / per_chunk : 8);
-        slots_ = std::vector<Slot>(slotCount);
+        slots_ = std::vector<DecodedChunk>(slotCount);
+
+        // The longest payload a full chunk can encode: the first level,
+        // then a 10-byte time delta and a level delta per later sample.
+        const auto varint_len = [](std::uint64_t v) {
+            std::size_t n = 1;
+            for (; v >= 0x80; v >>= 7)
+                ++n;
+            return n;
+        };
+        maxChunkBytes_ =
+            kChunkHeaderBytes + varint_len(info.quantum) +
+            (info.samplesPerChunk - 1u) *
+                (10 + varint_len(2ull * info.quantum));
     }
 
   private:
-    struct Slot
-    {
-        std::shared_ptr<const DecodedChunk> chunk;
-    };
     static constexpr std::size_t kStripes = 64;
 
-    std::vector<Slot> slots_;
+    std::vector<DecodedChunk> slots_;
     std::mutex stripes_[kStripes];
     std::atomic<std::uint64_t> loads_{0};
+    /** Header plus the longest valid payload: one read covers a chunk. */
+    std::size_t maxChunkBytes_ = 0;
 
 #if VPM_TRACE_HAVE_PREAD
     int fd_ = -1;
@@ -354,8 +391,8 @@ TraceFileImpl::openFile(const std::string &path, std::string *error)
     return true;
 }
 
-bool
-TraceFileImpl::readAt(std::uint64_t offset, void *dst, std::size_t n)
+std::size_t
+TraceFileImpl::readUpTo(std::uint64_t offset, void *dst, std::size_t n)
 {
 #if VPM_TRACE_HAVE_PREAD
     std::size_t done = 0;
@@ -364,21 +401,21 @@ TraceFileImpl::readAt(std::uint64_t offset, void *dst, std::size_t n)
             ::pread(fd_, static_cast<char *>(dst) + done, n - done,
                     static_cast<off_t>(offset + done));
         if (got <= 0)
-            return false;
+            break;
         done += static_cast<std::size_t>(got);
     }
-    return true;
+    return done;
 #else
     std::lock_guard<std::mutex> lock(streamMutex_);
     stream_.clear();
     stream_.seekg(static_cast<std::streamoff>(offset));
     stream_.read(static_cast<char *>(dst),
                  static_cast<std::streamsize>(n));
-    return stream_.gcount() == static_cast<std::streamsize>(n);
+    return static_cast<std::size_t>(stream_.gcount());
 #endif
 }
 
-std::shared_ptr<const DecodedChunk>
+DecodedChunk
 TraceFileImpl::chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
                        std::uint64_t offset)
 {
@@ -387,55 +424,64 @@ TraceFileImpl::chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
     std::mutex &stripe = stripes_[slot_idx % kStripes];
     {
         std::lock_guard<std::mutex> lock(stripe);
-        const std::shared_ptr<const DecodedChunk> &cached =
-            slots_[slot_idx].chunk;
-        if (cached && cached->vm == vm && cached->chunkIdx == chunk_idx)
+        const DecodedChunk &cached = slots_[slot_idx];
+        if (cached && cached[0].header.vm == vm &&
+            cached[0].header.chunkIdx == chunk_idx)
             return cached;
     }
 
-    std::uint8_t header[kChunkHeaderBytes];
-    if (!readAt(offset, header, sizeof(header)))
+    // One read for the header and the longest payload a valid chunk can
+    // have, stopping at the index; a second only for a larger payload.
+    thread_local std::vector<std::uint8_t> buf;
+    const std::size_t want =
+        offset < indexOffset
+            ? std::clamp<std::uint64_t>(indexOffset - offset,
+                                        kChunkHeaderBytes, maxChunkBytes_)
+            : kChunkHeaderBytes;
+    if (buf.size() < want)
+        buf.resize(want);
+    const std::size_t got = readUpTo(offset, buf.data(), want);
+    if (got < kChunkHeaderBytes)
         sim::fatal("vpm-trace-1: short read at chunk header (vm %u #%u)",
                    vm, chunk_idx);
-    const std::uint32_t header_vm = getRaw<std::uint32_t>(header);
-    const std::uint32_t count = getRaw<std::uint32_t>(header + 4);
-    const std::uint32_t payload_bytes = getRaw<std::uint32_t>(header + 8);
-    const std::int64_t first_ts = getRaw<std::int64_t>(header + 16);
-    const std::int64_t end_ts = getRaw<std::int64_t>(header + 24);
+    const std::uint32_t header_vm = getRaw<std::uint32_t>(buf.data());
+    const std::uint32_t count = getRaw<std::uint32_t>(buf.data() + 4);
+    const std::uint32_t payload_bytes =
+        getRaw<std::uint32_t>(buf.data() + 8);
+    const std::int64_t first_ts = getRaw<std::int64_t>(buf.data() + 16);
+    const std::int64_t end_ts = getRaw<std::int64_t>(buf.data() + 24);
     if (header_vm != vm || count == 0 ||
         count > info.samplesPerChunk)
         sim::fatal("vpm-trace-1: corrupt chunk header (vm %u #%u)", vm,
                    chunk_idx);
 
-    std::vector<std::uint8_t> payload(payload_bytes);
-    if (!readAt(offset + kChunkHeaderBytes, payload.data(), payload_bytes))
-        sim::fatal("vpm-trace-1: short read at chunk payload (vm %u #%u)",
-                   vm, chunk_idx);
+    const std::size_t chunk_bytes = kChunkHeaderBytes + payload_bytes;
+    if (chunk_bytes > got) {
+        buf.resize(chunk_bytes);
+        if (!readAt(offset + got, buf.data() + got, chunk_bytes - got))
+            sim::fatal("vpm-trace-1: short read at chunk payload "
+                       "(vm %u #%u)", vm, chunk_idx);
+    }
+    const std::uint8_t *payload = buf.data() + kChunkHeaderBytes;
 
-    auto chunk = std::make_shared<DecodedChunk>();
-    chunk->vm = vm;
-    chunk->chunkIdx = chunk_idx;
-    chunk->selfOffset = offset;
-    chunk->nextOffset = offset + kChunkHeaderBytes + payload_bytes;
-    chunk->endTs = end_ts;
-    chunk->ts.resize(count);
-    chunk->util.resize(count);
+    std::shared_ptr<ChunkCell[]> chunk =
+        std::make_shared_for_overwrite<ChunkCell[]>(count + 2u);
+    chunk[0].header = {vm, chunk_idx, offset + chunk_bytes};
+    ChunkCell *pts = chunk.get() + 1;
 
     std::size_t pos = 0;
     std::uint64_t raw = 0;
-    if (!getVarint(payload.data(), payload.size(), pos, raw) ||
-        raw > info.quantum)
+    if (!getVarint(payload, payload_bytes, pos, raw) || raw > info.quantum)
         sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", vm,
                    chunk_idx);
     std::int64_t level = static_cast<std::int64_t>(raw);
     std::int64_t t = first_ts;
     const double denom = static_cast<double>(info.quantum);
-    chunk->ts[0] = t;
-    chunk->util[0] = static_cast<double>(level) / denom;
+    pts[0].point = {t, static_cast<double>(level) / denom};
     for (std::uint32_t i = 1; i < count; ++i) {
         std::uint64_t dt = 0, dl = 0;
-        if (!getVarint(payload.data(), payload.size(), pos, dt) ||
-            !getVarint(payload.data(), payload.size(), pos, dl))
+        if (!getVarint(payload, payload_bytes, pos, dt) ||
+            !getVarint(payload, payload_bytes, pos, dl))
             sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", vm,
                        chunk_idx);
         t += static_cast<std::int64_t>(dt);
@@ -444,16 +490,16 @@ TraceFileImpl::chunkAt(std::uint32_t vm, std::uint32_t chunk_idx,
             level > static_cast<std::int64_t>(info.quantum))
             sim::fatal("vpm-trace-1: corrupt payload (vm %u #%u)", vm,
                        chunk_idx);
-        chunk->ts[i] = t;
-        chunk->util[i] = static_cast<double>(level) / denom;
+        pts[i].point = {t, static_cast<double>(level) / denom};
     }
-    if (pos != payload.size())
+    if (pos != payload_bytes)
         sim::fatal("vpm-trace-1: trailing payload bytes (vm %u #%u)", vm,
                    chunk_idx);
+    pts[count].point = {end_ts, kSentinelUtil};
     loads_.fetch_add(1, std::memory_order_relaxed);
 
     std::lock_guard<std::mutex> lock(stripe);
-    slots_[slot_idx].chunk = chunk;
+    slots_[slot_idx] = chunk;
     return chunk;
 }
 
@@ -479,59 +525,73 @@ class StreamedVmTrace final : public workload::DemandTrace
 
     workload::DemandSpan spanAt(sim::SimTime t) const override
     {
-        const TraceFileImpl::VmMeta &meta = impl_->vms[vm_];
-        if (meta.chunkCount == 0)
-            return {0.0, sim::SimTime::max()};
-
         // chunkAt is const-observable but mutates the shared cache; the
         // impl owns that synchronization.
         auto *impl = const_cast<TraceFileImpl *>(impl_.get());
-
+        const TraceFileImpl::VmMeta &meta = impl->vms[vm_];
+        const std::int64_t us = t.micros();
         if (!chunk_) {
-            chunkIdx_ = 0;
+            if (meta.chunkCount == 0)
+                return {0.0, sim::SimTime::max()};
             chunk_ = impl->chunkAt(vm_, 0, meta.firstChunkOffset);
-        }
-        // Backward seek (a what-if branch replaying from a checkpoint
-        // earlier than this cursor): rewind to the first chunk.
-        if (t.micros() < chunk_->ts.front() && chunkIdx_ > 0) {
-            chunkIdx_ = 0;
-            chunk_ = impl->chunkAt(vm_, 0, meta.firstChunkOffset);
-        }
-        while (chunk_->endTs != kOpenEnd && t.micros() >= chunk_->endTs) {
-            ++chunkIdx_;
-            chunk_ = impl->chunkAt(vm_, chunkIdx_, chunk_->nextOffset);
+            cursor_ = 0;
         }
 
-        const std::vector<std::int64_t> &ts = chunk_->ts;
-        const auto it =
-            std::upper_bound(ts.begin(), ts.end(), t.micros());
-        const std::ptrdiff_t i = (it - ts.begin()) - 1;
-        if (i < 0) {
-            // Before the first breakpoint: StepTrace semantics, the first
-            // level applies, exactly until that first successor changes
-            // it.
-            const sim::SimTime until =
-                ts.size() > 1 ? sim::SimTime::micros(ts[1])
-                : chunk_->endTs == kOpenEnd
-                    ? sim::SimTime::max()
-                    : sim::SimTime::micros(chunk_->endTs);
-            return {chunk_->util.front(), until};
+        // The chunk's points, cell 1 onward.
+        const ChunkCell *pts = chunk_.get() + 1;
+        if (us < pts[cursor_].point.ts) {
+            // Backward seek (a what-if branch replaying from a checkpoint
+            // earlier than this cursor): search the points already
+            // passed, or rewind to the first chunk if t precedes this one.
+            if (us < pts[0].point.ts && chunk_[0].header.chunkIdx > 0) {
+                chunk_ = impl->chunkAt(vm_, 0, meta.firstChunkOffset);
+                pts = chunk_.get() + 1;
+                cursor_ = 0;
+            } else {
+                const ChunkCell *it = std::upper_bound(
+                    pts, pts + cursor_, us,
+                    [](std::int64_t v, const ChunkCell &c) {
+                        return v < c.point.ts;
+                    });
+                cursor_ = it == pts
+                              ? 0
+                              : static_cast<std::uint32_t>(it - pts - 1);
+            }
         }
-        const std::size_t idx = static_cast<std::size_t>(i);
-        const sim::SimTime until =
-            idx + 1 < ts.size() ? sim::SimTime::micros(ts[idx + 1])
-            : chunk_->endTs == kOpenEnd
-                ? sim::SimTime::max()
-                : sim::SimTime::micros(chunk_->endTs);
-        return {chunk_->util[idx], until};
+        // Forward: step through the points, then across chunk ends. Before
+        // the first breakpoint the cursor stays on point 0, whose level
+        // applies until its successor (StepTrace semantics).
+        while (us >= pts[cursor_ + 1].point.ts) {
+            const Point &next = pts[cursor_ + 1].point;
+            if (next.util != kSentinelUtil) {
+                ++cursor_;
+                continue;
+            }
+            if (next.ts == kOpenEnd)
+                break;
+            const ChunkHeader &header = chunk_[0].header;
+            chunk_ = impl->chunkAt(vm_, header.chunkIdx + 1,
+                                   header.nextOffset);
+            pts = chunk_.get() + 1;
+            cursor_ = 0;
+        }
+        const std::int64_t until = pts[cursor_ + 1].point.ts;
+        return {pts[cursor_].point.util,
+                until == kOpenEnd ? sim::SimTime::max()
+                                  : sim::SimTime::micros(until)};
     }
 
   private:
     std::shared_ptr<const TraceFileImpl> impl_;
     std::uint32_t vm_;
-    mutable std::uint32_t chunkIdx_ = 0;
-    mutable std::shared_ptr<const DecodedChunk> chunk_;
+    /** Index into chunk_'s points of the breakpoint last returned. */
+    mutable std::uint32_t cursor_ = 0;
+    mutable DecodedChunk chunk_;
 };
+
+// A fleet holds one view per VM (fleetbench governor_fleet: 200k views
+// over 16 series), so every byte here is paid per VM.
+static_assert(sizeof(StreamedVmTrace) <= 48);
 
 } // namespace detail
 
@@ -570,6 +630,7 @@ TraceFile::open(const std::string &path, std::size_t window_bytes,
     impl->info.quantum = getRaw<std::uint32_t>(header + 16);
     impl->info.samplesPerChunk = getRaw<std::uint32_t>(header + 20);
     const std::uint64_t index_offset = getRaw<std::uint64_t>(header + 24);
+    impl->indexOffset = index_offset;
     impl->info.totalSamples = getRaw<std::uint64_t>(header + 32);
     if (impl->info.vmCount == 0 || impl->info.quantum == 0 ||
         impl->info.samplesPerChunk < 2 || index_offset < kHeaderBytes) {

@@ -154,6 +154,18 @@ hashedUniform01(std::uint64_t seed, std::uint64_t index)
     return static_cast<double>(hashMix(seed, index) >> 11) * 0x1.0p-53;
 }
 
+std::uint64_t
+fnv1a(const void *data, std::size_t n, std::uint64_t seed)
+{
+    const auto *bytes = static_cast<const std::uint8_t *>(data);
+    std::uint64_t h = seed;
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= bytes[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 double
 hashedNormal(std::uint64_t seed, std::uint64_t index)
 {

@@ -14,6 +14,7 @@
 #define VPM_SIMCORE_RANDOM_HPP
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace vpm::sim {
@@ -111,6 +112,12 @@ double hashedUniform01(std::uint64_t seed, std::uint64_t index);
 double hashedNormal(std::uint64_t seed, std::uint64_t index);
 
 ///@}
+
+/** FNV-1a over @p n bytes at @p data, continuing from @p seed (the 64-bit
+ *  offset basis by default). The project's one content hash: checkpoint
+ *  trailers, replay state digests and sweep manifest fingerprints. */
+std::uint64_t fnv1a(const void *data, std::size_t n,
+                    std::uint64_t seed = 14695981039346656037ull);
 
 } // namespace vpm::sim
 

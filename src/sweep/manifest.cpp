@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "core/policies.hpp"
+#include "simcore/random.hpp"
 #include "telemetry/json_util.hpp"
 
 namespace vpm::sweep {
@@ -249,11 +250,7 @@ manifestContentHash(const SweepManifest &manifest)
     for (const std::uint64_t v : manifest.seeds)
         text += std::to_string(v) + ",";
 
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const char c : text) {
-        hash ^= static_cast<std::uint8_t>(c);
-        hash *= 1099511628211ull;
-    }
+    const std::uint64_t hash = sim::fnv1a(text.data(), text.size());
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(hash));

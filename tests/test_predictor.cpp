@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <vector>
+
 #include "core/predictor.hpp"
 
 namespace vpm::mgmt {
@@ -205,6 +210,109 @@ TEST(PredictorCloneTest, ClonesAreFreshAndIndependent)
     EXPECT_DOUBLE_EQ(clone->predict(), 0.0); // fresh, no history
     clone->observe(5.0);
     EXPECT_DOUBLE_EQ(p.predict(), 100.0); // original untouched
+}
+
+/** The sliding-deque window-max the ring replaced. */
+double
+dequeWindowMax(const std::deque<double> &values)
+{
+    return values.empty() ? 0.0
+                          : *std::max_element(values.begin(), values.end());
+}
+
+/** The sliding-deque least-squares trend the ring replaced. */
+double
+dequeTrend(const std::deque<double> &values)
+{
+    const std::size_t n = values.size();
+    if (n == 0)
+        return 0.0;
+    if (n == 1)
+        return values.front();
+    const double nn = static_cast<double>(n);
+    double sum_x = 0.0, sum_y = 0.0, sum_xy = 0.0, sum_xx = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double x = static_cast<double>(i);
+        sum_x += x;
+        sum_y += values[i];
+        sum_xy += x * values[i];
+        sum_xx += x * x;
+    }
+    const double denom = nn * sum_xx - sum_x * sum_x;
+    if (denom == 0.0)
+        return values.back();
+    const double slope = (nn * sum_xy - sum_x * sum_y) / denom;
+    const double intercept = (sum_y - slope * sum_x) / nn;
+    return std::max(0.0, intercept + slope * nn);
+}
+
+TEST(RingWindowPredictorTest, MatchesSlidingDequeAcrossManyWraps)
+{
+    std::uint64_t state = 99;
+    const auto uniform = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<double>(state >> 11) * 0x1.0p-53;
+    };
+    for (std::size_t window = 1; window <= RingWindow::kCapacity;
+         ++window) {
+        WindowMaxPredictor max_ring(window);
+        std::unique_ptr<LinearTrendPredictor> trend_ring;
+        if (window >= 2)
+            trend_ring = std::make_unique<LinearTrendPredictor>(window);
+        std::deque<double> reference;
+        // 40 wraps of the largest ring; plateaus make ties common.
+        for (int i = 0; i < 40 * 16; ++i) {
+            const double u = uniform();
+            const double v = u < 0.2 ? 0.5 : 100.0 * u;
+            max_ring.observe(v);
+            if (trend_ring)
+                trend_ring->observe(v);
+            reference.push_back(v);
+            if (reference.size() > window)
+                reference.pop_front();
+            ASSERT_EQ(max_ring.predict(), dequeWindowMax(reference))
+                << "window " << window << " step " << i;
+            if (trend_ring) {
+                ASSERT_EQ(trend_ring->predict(), dequeTrend(reference))
+                    << "window " << window << " step " << i;
+            }
+        }
+    }
+}
+
+TEST(RingWindowPredictorTest, StateIsOldestFirstAfterAWrap)
+{
+    WindowMaxPredictor max_ring(3);
+    LinearTrendPredictor trend_ring(3);
+    for (const double v : {1.0, 2.0, 3.0, 4.0, 5.0}) {
+        max_ring.observe(v);
+        trend_ring.observe(v);
+    }
+    const std::vector<double> expect = {3.0, 3.0, 4.0, 5.0};
+    std::vector<double> got;
+    max_ring.appendState(got);
+    EXPECT_EQ(got, expect);
+    got.clear();
+    trend_ring.appendState(got);
+    EXPECT_EQ(got, expect);
+
+    // Before the ring fills: just what was seen, in order.
+    WindowMaxPredictor partial(4);
+    partial.observe(7.0);
+    partial.observe(6.0);
+    got.clear();
+    partial.appendState(got);
+    EXPECT_EQ(got, (std::vector<double>{2.0, 7.0, 6.0}));
+}
+
+TEST(RingWindowPredictorDeathTest, RejectsWindowsBeyondCapacity)
+{
+    EXPECT_EXIT(WindowMaxPredictor(RingWindow::kCapacity + 1),
+                ::testing::ExitedWithCode(1), "window");
+    EXPECT_EXIT(LinearTrendPredictor(1), ::testing::ExitedWithCode(1),
+                "window");
+    EXPECT_EXIT(LinearTrendPredictor(RingWindow::kCapacity + 1),
+                ::testing::ExitedWithCode(1), "window");
 }
 
 /** Property: on ramp inputs, trend over-forecasts persistence. */

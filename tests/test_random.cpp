@@ -185,5 +185,16 @@ TEST(RngDeathTest, InvalidArgumentsPanic)
     EXPECT_DEATH(rng.exponential(0.0), "positive");
 }
 
+TEST(Fnv1aTest, MatchesThePublishedVectorsAndChains)
+{
+    // 64-bit FNV-1a reference values: the empty input is the offset
+    // basis itself.
+    EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ull);
+    // Continuing from a prefix's hash equals hashing the whole input.
+    EXPECT_EQ(fnv1a("bar", 3, fnv1a("foo", 3)), fnv1a("foobar", 6));
+}
+
 } // namespace
 } // namespace vpm::sim

@@ -3,11 +3,13 @@
  * vpm-trace-1 tests: writer/reader round-trip against a StepTrace
  * reference, exact span semantics, quantization, equal-level merging,
  * backward seeks through the chunk cache, the bounded-window contract,
- * and malformed-file rejection.
+ * the view cursor against a StepTrace under random probes, and
+ * malformed-file rejection.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -231,6 +233,136 @@ TEST(TraceFileTest, TinyWindowStillServesManyConcurrentSeries)
         }
     }
     EXPECT_GT(file->chunkLoads(), 0u);
+    std::filesystem::remove(path);
+}
+
+TEST(TraceFileTest, CursorMatchesStepTraceUnderRandomProbes)
+{
+    const std::string path = tempPath("cursor");
+    constexpr std::uint32_t kVms = 6;
+    constexpr std::uint32_t kViewsPerVm = 3;
+    constexpr std::uint32_t kQuantum = 1000;
+    TraceFileWriter writer(path, kVms, kQuantum, 8);
+    ASSERT_TRUE(writer.ok());
+
+    SplitMix rng(4242);
+    std::vector<std::vector<workload::StepTrace::Step>> reference(kVms);
+    for (std::uint32_t v = 0; v < kVms; ++v) {
+        // A positive first breakpoint leaves room for pre-first probes.
+        std::int64_t ts = 1000 + static_cast<std::int64_t>(rng.next() % 5000);
+        const int breakpoints = 30 + static_cast<int>(rng.next() % 90);
+        for (int i = 0; i < breakpoints; ++i) {
+            const double util = rng.uniform();
+            writer.append(v, ts, util);
+            const double level = quantized(util, kQuantum);
+            if (reference[v].empty() || reference[v].back().level != level)
+                reference[v].push_back({sim::SimTime::micros(ts), level});
+            ts += 1 + static_cast<std::int64_t>(rng.next() % 3000);
+        }
+    }
+    std::string error;
+    ASSERT_TRUE(writer.finish(&error)) << error;
+
+    // A 1-byte budget gives the 8-slot floor, so views of one series
+    // evict each other's chunks while each keeps its own pinned.
+    std::shared_ptr<TraceFile> file = TraceFile::open(path, 1, &error);
+    ASSERT_NE(file, nullptr) << error;
+    ASSERT_EQ(file->cacheSlots(), 8u);
+
+    struct Probe
+    {
+        workload::TracePtr view;
+        std::uint32_t vm;
+        std::int64_t t;
+    };
+    std::vector<Probe> probes;
+    std::vector<workload::StepTrace> expect;
+    for (std::uint32_t v = 0; v < kVms; ++v) {
+        expect.emplace_back(reference[v]);
+        for (std::uint32_t k = 0; k < kViewsPerVm; ++k)
+            probes.push_back({file->vmTrace(v), v, 0});
+    }
+
+    for (int step = 0; step < 20000; ++step) {
+        Probe &p = probes[rng.next() % probes.size()];
+        const std::int64_t first = reference[p.vm].front().start.micros();
+        const std::int64_t last = reference[p.vm].back().start.micros();
+        switch (rng.next() % 6) {
+          case 0: case 1: // forward step, often within one span
+            p.t += static_cast<std::int64_t>(rng.next() % 2000);
+            break;
+          case 2: // forward jump across several chunks
+            p.t += static_cast<std::int64_t>(rng.next() % 60000);
+            break;
+          case 3: // backward seek, possibly to an earlier chunk
+            p.t -= static_cast<std::int64_t>(rng.next() % 40000);
+            break;
+          case 4: // before the first breakpoint
+            p.t = first - 1 - static_cast<std::int64_t>(rng.next() % 900);
+            break;
+          default: // anywhere, past the end included
+            p.t = static_cast<std::int64_t>(
+                rng.next() % static_cast<std::uint64_t>(last + 5000));
+            break;
+        }
+        const sim::SimTime t = sim::SimTime::micros(p.t);
+        const workload::DemandSpan got = p.view->spanAt(t);
+        // Before the first breakpoint the first level holds until its
+        // successor: StepTrace's span at the first breakpoint.
+        const workload::DemandSpan want = expect[p.vm].spanAt(
+            sim::SimTime::micros(std::max(p.t, first)));
+        ASSERT_EQ(got.utilization, want.utilization)
+            << "step " << step << " vm " << p.vm << " t=" << p.t;
+        ASSERT_EQ(got.validUntil.micros(), want.validUntil.micros())
+            << "step " << step << " vm " << p.vm << " t=" << p.t;
+    }
+    std::filesystem::remove(path);
+}
+
+/** Overwrite VM 0's first chunk header's payload_bytes in @p path. */
+void
+corruptFirstPayloadBytes(const std::string &path, std::uint32_t value)
+{
+    // The first chunk follows the 40-byte file header; payload_bytes is
+    // its third u32.
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(40 + 8);
+    io.write(reinterpret_cast<const char *>(&value), sizeof(value));
+}
+
+TEST(TraceFileDeathTest, CorruptPayloadLengthStillFails)
+{
+    const std::string path = tempPath("payload_len");
+    TraceFileWriter writer(path, 1, 10000, 8);
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < 24; ++i)
+        writer.append(0, static_cast<std::int64_t>(i) * 1000,
+                      static_cast<double>(i) / 24.0);
+    std::string error;
+    ASSERT_TRUE(writer.finish(&error)) << error;
+
+    std::uint32_t payload_bytes = 0;
+    {
+        std::ifstream in(path, std::ios::binary);
+        in.seekg(40 + 8);
+        in.read(reinterpret_cast<char *>(&payload_bytes),
+                sizeof(payload_bytes));
+    }
+    const auto probe = [&path] {
+        std::string err;
+        std::shared_ptr<TraceFile> file = TraceFile::open(path, 1, &err);
+        if (file != nullptr)
+            file->vmTrace(0)->spanAt(sim::SimTime::micros(0));
+    };
+
+    // One byte too long: served by the single read, left undecoded.
+    corruptFirstPayloadBytes(path, payload_bytes + 1);
+    EXPECT_EXIT(probe(), ::testing::ExitedWithCode(1),
+                "trailing payload bytes \\(vm 0 #0\\)");
+    // Longer than any valid chunk and than the file: the second read.
+    corruptFirstPayloadBytes(path, 1u << 16);
+    EXPECT_EXIT(probe(), ::testing::ExitedWithCode(1),
+                "short read at chunk payload \\(vm 0 #0\\)");
     std::filesystem::remove(path);
 }
 
