@@ -584,7 +584,7 @@ VpmManager::buildModel() const
     if (!modelValid_ || epoch != modelEpoch_) {
         // Membership changed (or first use): rebuild from scratch. The
         // child zone counts how often this actually happens.
-        PROF_ZONE("mgmt.model_rebuild");
+        PROF_ZONE("placement.model_rebuild");
         std::vector<PlannedHost> hosts;
         hosts.reserve(cluster_.hostCount());
         for (const auto &host_ptr : cluster_.hosts()) {
@@ -627,26 +627,32 @@ VpmManager::buildModel() const
     // racks are immutable per entity; usable, predictions, placement and
     // movability are live state. This also discards any pins or moves a
     // previous planning pass applied, exactly like a fresh build would.
-    std::vector<PlannedHost> &hosts = model_.mutableHosts();
+    const std::size_t host_count = model_.hosts().size();
     std::size_t hi = 0;
-    for (const auto &host_ptr : cluster_.hosts())
-        hosts[hi++].usable = host_ptr->isOn() && hostUsable(*host_ptr);
+    for (const auto &host_ptr : cluster_.hosts()) {
+        if (hi < host_count)
+            model_.refreshHost(hi, host_ptr->isOn() && hostUsable(*host_ptr));
+        ++hi; // a count mismatch panics below
+    }
 
-    std::vector<PlannedVm> &vms = model_.mutableVms();
+    const std::size_t vm_count = model_.vms().size();
     std::size_t vi = 0;
     for (const auto &vm_ptr : cluster_.vms()) {
         if (!vm_ptr->placed())
             continue;
-        PlannedVm &planned = vms[vi++];
-        planned.cpuMhz = predictedVmMhz(*vm_ptr);
-        const dc::HostId inbound = migration_.destinationOf(vm_ptr->id());
-        planned.movable = inbound == dc::invalidHostId;
-        planned.host = planned.movable ? vm_ptr->host() : inbound;
+        if (vi < vm_count) {
+            const dc::HostId inbound =
+                migration_.destinationOf(vm_ptr->id());
+            const bool movable = inbound == dc::invalidHostId;
+            model_.refreshVm(vi, movable ? vm_ptr->host() : inbound,
+                             predictedVmMhz(*vm_ptr), movable);
+        }
+        ++vi; // a count mismatch panics below
     }
-    if (hi != hosts.size() || vi != vms.size())
+    if (hi != host_count || vi != vm_count)
         sim::panic("VpmManager::buildModel: refresh walked %zu/%zu hosts "
                    "and %zu/%zu VMs despite an unchanged epoch",
-                   hi, hosts.size(), vi, vms.size());
+                   hi, host_count, vi, vm_count);
     model_.rebuildUsage();
     if (!config_.antiAffinityGroups.empty())
         model_.setAntiAffinityGroups(config_.antiAffinityGroups);

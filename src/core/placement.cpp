@@ -57,9 +57,12 @@ PlacementModel::PlacementModel(std::vector<PlannedHost> hosts,
                        hosts_[i].id);
         }
     }
+    residents_.resize(hosts_.size());
     for (std::size_t i = 0; i < vms_.size(); ++i) {
         if (!assignSlot(vmSlot_, vms_[i].id, i))
             sim::panic("PlacementModel: duplicate VM id %d", vms_[i].id);
+        residents_[hostIndex(vms_[i].host)].push_back(
+            static_cast<std::uint32_t>(i));
     }
     rebuildUsage();
 }
@@ -67,6 +70,12 @@ PlacementModel::PlacementModel(std::vector<PlannedHost> hosts,
 void
 PlacementModel::rebuildUsage()
 {
+    PROF_ZONE("placement.rebuild_usage");
+    usable_.clear();
+    for (std::size_t h = 0; h < hosts_.size(); ++h) {
+        if (hosts_[h].usable)
+            usable_.push_back(static_cast<std::uint32_t>(h));
+    }
     cpuUsed_.assign(hosts_.size(), 0.0);
     memUsed_.assign(hosts_.size(), 0.0);
     for (const PlannedVm &vm_ref : vms_) {
@@ -116,11 +125,11 @@ PlacementModel::cpuUtilization(HostId host) const
 std::vector<VmId>
 PlacementModel::vmsOn(HostId host) const
 {
+    const std::vector<std::uint32_t> &slots = residents_[hostIndex(host)];
     std::vector<VmId> result;
-    for (const PlannedVm &vm_ref : vms_) {
-        if (vm_ref.host == host)
-            result.push_back(vm_ref.id);
-    }
+    result.reserve(slots.size());
+    for (const std::uint32_t slot : slots)
+        result.push_back(vms_[slot].id);
     return result;
 }
 
@@ -128,26 +137,18 @@ bool
 PlacementModel::fits(const PlannedVm &vm_ref, HostId host,
                      double cpu_limit_fraction) const
 {
-    const std::size_t h = hostIndex(host);
-    const PlannedHost &host_ref = hosts_[h];
-    if (!host_ref.usable)
+    return fitsAt(vm_ref, hostIndex(host), cpu_limit_fraction);
+}
+
+bool
+PlacementModel::holdsSibling(VmId id, std::size_t index) const
+{
+    const int group = groupOf(id);
+    if (group < 0 || hostGroupCount_.empty())
         return false;
-
-    // Anti-affinity: refuse a host already holding a group sibling.
-    if (const int group = groupOf(vm_ref.id); group >= 0) {
-        if (!hostGroupCount_.empty()) {
-            const auto &counts = hostGroupCount_[h];
-            if (const auto it = counts.find(group);
-                it != counts.end() && it->second > 0) {
-                return false;
-            }
-        }
-    }
-
-    return cpuUsed_[h] + vm_ref.cpuMhz <=
-               cpu_limit_fraction * host_ref.cpuCapacityMhz + 1e-9 &&
-           memUsed_[h] + vm_ref.memoryMb <=
-               host_ref.memoryCapacityMb + 1e-9;
+    const auto &counts = hostGroupCount_[index];
+    const auto it = counts.find(group);
+    return it != counts.end() && it->second > 0;
 }
 
 void
@@ -198,17 +199,23 @@ PlacementModel::host(HostId id) const
 void
 PlacementModel::apply(const Move &move)
 {
-    PlannedVm &vm_ref = vms_[vmIndex(move.vm)];
+    const std::size_t index = vmIndex(move.vm);
+    PlannedVm &vm_ref = vms_[index];
     if (vm_ref.host != move.from)
         sim::panic("PlacementModel::apply: VM %d is on host %d, not %d",
                    move.vm, vm_ref.host, move.from);
 
     const std::size_t from = hostIndex(move.from);
     const std::size_t to = hostIndex(move.to);
+    if (trialOpen_) {
+        undo_.push_back({index, from, to, cpuUsed_[from], memUsed_[from],
+                         cpuUsed_[to], memUsed_[to]});
+    }
     cpuUsed_[from] -= vm_ref.cpuMhz;
     memUsed_[from] -= vm_ref.memoryMb;
     cpuUsed_[to] += vm_ref.cpuMhz;
     memUsed_[to] += vm_ref.memoryMb;
+    relinkResident(index, from, to);
     vm_ref.host = move.to;
 
     if (const int group = groupOf(move.vm);
@@ -216,6 +223,53 @@ PlacementModel::apply(const Move &move)
         --hostGroupCount_[from][group];
         ++hostGroupCount_[to][group];
     }
+}
+
+void
+PlacementModel::beginTrial()
+{
+    undo_.clear();
+    trialOpen_ = true;
+}
+
+void
+PlacementModel::commitTrial()
+{
+    undo_.clear();
+    trialOpen_ = false;
+}
+
+void
+PlacementModel::rollbackTrial()
+{
+    // Reverse order: each host's last assignment is the value logged by
+    // the trial's first move that touched it, i.e. its pre-trial value.
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+        PlannedVm &vm_ref = vms_[it->vm];
+        relinkResident(it->vm, it->to, it->from);
+        vm_ref.host = hosts_[it->from].id;
+        cpuUsed_[it->to] = it->toCpu;
+        memUsed_[it->to] = it->toMem;
+        cpuUsed_[it->from] = it->fromCpu;
+        memUsed_[it->from] = it->fromMem;
+        if (const int group = groupOf(vm_ref.id);
+            group >= 0 && !hostGroupCount_.empty()) {
+            --hostGroupCount_[it->to][group];
+            ++hostGroupCount_[it->from][group];
+        }
+    }
+    commitTrial();
+}
+
+void
+PlacementModel::relinkResident(std::size_t index, std::size_t from,
+                               std::size_t to)
+{
+    const auto slot = static_cast<std::uint32_t>(index);
+    std::vector<std::uint32_t> &source = residents_[from];
+    source.erase(std::find(source.begin(), source.end(), slot));
+    std::vector<std::uint32_t> &dest = residents_[to];
+    dest.insert(std::lower_bound(dest.begin(), dest.end(), slot), slot);
 }
 
 void
@@ -239,16 +293,18 @@ chooseDestinationPass(const PlacementModel &model, const PlannedVm &vm,
     HostId best = dc::invalidHostId;
     double best_key = 0.0;
 
-    for (const PlannedHost &host : model.hosts()) {
-        if (host.id == exclude_a || host.id == exclude_b || !host.usable)
+    const std::vector<PlannedHost> &hosts = model.hosts();
+    for (const std::uint32_t h : model.usableHosts()) {
+        const PlannedHost &host = hosts[h];
+        if (host.id == exclude_a || host.id == exclude_b)
             continue;
         if (only_rack >= 0 && host.rack != only_rack)
             continue;
-        if (!model.fits(vm, host.id, cpu_limit))
+        if (!model.fitsAt(vm, h, cpu_limit))
             continue;
 
         const double headroom = cpu_limit * host.cpuCapacityMhz -
-                                model.cpuUsedMhz(host.id) - vm.cpuMhz;
+                                model.cpuUsedAt(h) - vm.cpuMhz;
         switch (heuristic) {
           case PackingHeuristic::FirstFitDecreasing:
             return host.id; // hosts are scanned in id order
@@ -321,29 +377,26 @@ planEvacuation(PlacementModel &model, HostId victim,
             return std::nullopt;
     }
 
-    // Work on a copy so failure leaves the caller's model untouched. The
-    // scratch model is reused across calls so its vectors keep their
-    // capacity instead of reallocating every evacuation attempt.
-    static thread_local PlacementModel trial;
-    trial = model;
+    // Plan on the live model as a trial, so failure restores it exactly.
     std::vector<Move> moves;
-
-    for (VmId vm_id : vmsByDescendingCpu(trial, victim)) {
-        const PlannedVm &vm_ref = trial.vm(vm_id);
+    model.beginTrial();
+    for (VmId vm_id : vmsByDescendingCpu(model, victim)) {
+        const PlannedVm &vm_ref = model.vm(vm_id);
         const HostId dest = chooseDestination(
-            trial, vm_ref, target_utilization, heuristic, victim,
+            model, vm_ref, target_utilization, heuristic, victim,
             dc::invalidHostId, rack_affinity);
-        if (dest == dc::invalidHostId)
+        if (dest == dc::invalidHostId) {
+            model.rollbackTrial();
             return std::nullopt;
+        }
         const Move move{vm_id, victim, dest};
-        trial.apply(move);
+        model.apply(move);
         moves.push_back(move);
     }
+    model.commitTrial();
 
-    for (const Move &move : moves) {
-        model.apply(move);
+    for (const Move &move : moves)
         model.pin(move.vm); // one planned move per VM per cycle
-    }
     return moves;
 }
 
@@ -353,16 +406,16 @@ planRebalance(PlacementModel &model, double target_utilization,
               PackingHeuristic heuristic, bool rack_affinity)
 {
     PROF_ZONE("placement.plan");
+    const std::vector<PlannedHost> &hosts = model.hosts();
     std::vector<Move> moves;
 
     // Phase 1: relieve hosts over the target, worst offender first.
     while (static_cast<int>(moves.size()) < max_moves) {
         HostId worst = dc::invalidHostId;
         double worst_util = target_utilization;
-        for (const PlannedHost &host : model.hosts()) {
-            if (!host.usable)
-                continue;
-            const double util = model.cpuUtilization(host.id);
+        for (const std::uint32_t h : model.usableHosts()) {
+            const PlannedHost &host = hosts[h];
+            const double util = model.cpuUsedAt(h) / host.cpuCapacityMhz;
             if (util > worst_util + 1e-9) {
                 worst = host.id;
                 worst_util = util;
@@ -395,10 +448,9 @@ planRebalance(PlacementModel &model, double target_utilization,
         HostId hi = dc::invalidHostId, lo = dc::invalidHostId;
         double hi_util = -1.0;
         double lo_util = std::numeric_limits<double>::infinity();
-        for (const PlannedHost &host : model.hosts()) {
-            if (!host.usable)
-                continue;
-            const double util = model.cpuUtilization(host.id);
+        for (const std::uint32_t h : model.usableHosts()) {
+            const PlannedHost &host = hosts[h];
+            const double util = model.cpuUsedAt(h) / host.cpuCapacityMhz;
             if (util > hi_util) {
                 hi = host.id;
                 hi_util = util;

@@ -79,7 +79,9 @@ const char *toString(PackingHeuristic heuristic);
  *
  * Host and VM ids may be sparse; lookups go through dense slot tables
  * sized by the largest id (cluster ids are sequential, so the tables are
- * compact in practice).
+ * compact in practice). Each host keeps the positions of its resident
+ * VMs in vms(), sorted, so vmsOn() never scans the fleet; apply(),
+ * refreshVm() and rollbackTrial() maintain that index.
  */
 class PlacementModel
 {
@@ -101,7 +103,7 @@ class PlacementModel
     /** Predicted CPU utilization of a host, in [0, inf). */
     double cpuUtilization(HostId host) const;
 
-    /** VMs currently assigned to @p host, in insertion order. */
+    /** VMs currently assigned to @p host, in vms() order. */
     std::vector<VmId> vmsOn(HostId host) const;
 
     /**
@@ -116,8 +118,44 @@ class PlacementModel
     const PlannedHost &host(HostId id) const;
     ///@}
 
+    /** @name Positional queries (index into hosts()), for planner scans */
+    ///@{
+    /** Positions of the usable hosts, ascending (so in hosts() order). */
+    const std::vector<std::uint32_t> &usableHosts() const
+    {
+        return usable_;
+    }
+
+    double cpuUsedAt(std::size_t index) const { return cpuUsed_[index]; }
+
+    /** fits() for the host at position @p index of hosts(). */
+    bool fitsAt(const PlannedVm &vm, std::size_t index,
+                double cpu_limit_fraction) const
+    {
+        const PlannedHost &host_ref = hosts_[index];
+        return host_ref.usable &&
+               (vmGroup_.empty() || !holdsSibling(vm.id, index)) &&
+               cpuUsed_[index] + vm.cpuMhz <=
+                   cpu_limit_fraction * host_ref.cpuCapacityMhz + 1e-9 &&
+               memUsed_[index] + vm.memoryMb <=
+                   host_ref.memoryCapacityMb + 1e-9;
+    }
+    ///@}
+
     /** Apply a move (bookkeeping only). The move must be consistent. */
     void apply(const Move &move);
+
+    /** @name Trial moves
+     * Between beginTrial() and commitTrial()/rollbackTrial(), apply()
+     * logs each touched host's pre-move usage. rollbackTrial() undoes the
+     * trial's moves in reverse, restoring usage by assignment, so the
+     * model ends bit-identical to its state at beginTrial().
+     */
+    ///@{
+    void beginTrial();
+    void commitTrial();
+    void rollbackTrial();
+    ///@}
 
     /**
      * Mark a VM unmovable for the rest of this model's lifetime. Planners
@@ -142,26 +180,62 @@ class PlacementModel
 
     /** @name In-place refresh (same membership, new field values) */
     ///@{
+    /** Refresh whether the host at position @p index of hosts() is
+     *  usable. Call rebuildUsage() once every host and VM is refreshed. */
+    void refreshHost(std::size_t index, bool usable)
+    {
+        hosts_[index].usable = usable;
+    }
+
     /**
-     * Direct access to the planned entities for a holder refreshing the
-     * model between management cycles. The id fields and the entry order
-     * must not change — only per-entity values (usable, cpuMhz, host,
-     * movable, ...). Call rebuildUsage() after editing VM assignments.
+     * Refresh the VM at position @p index of vms() (its id is kept).
+     * The resident index is touched only if its host changed. Call
+     * rebuildUsage() once every VM is refreshed.
      */
-    std::vector<PlannedHost> &mutableHosts() { return hosts_; }
-    std::vector<PlannedVm> &mutableVms() { return vms_; }
+    void refreshVm(std::size_t index, HostId host, double cpu_mhz,
+                   bool movable)
+    {
+        PlannedVm &vm_ref = vms_[index];
+        vm_ref.cpuMhz = cpu_mhz;
+        vm_ref.movable = movable;
+        if (vm_ref.host != host) {
+            relinkResident(index, hostIndex(vm_ref.host), hostIndex(host));
+            vm_ref.host = host;
+        }
+    }
 
     /**
      * Recompute the per-host usage accumulators from vms_, in the same
      * order as construction (so a refreshed model is bit-identical to a
-     * freshly built one).
+     * freshly built one), and the usable-host list.
      */
     void rebuildUsage();
     ///@}
 
   private:
+    /** Pre-move state of one trial move, for rollbackTrial(). */
+    struct Undo
+    {
+        std::size_t vm;
+        std::size_t from;
+        std::size_t to;
+        double fromCpu;
+        double fromMem;
+        double toCpu;
+        double toMem;
+    };
+
     std::size_t hostIndex(HostId id) const;
     std::size_t vmIndex(VmId id) const;
+
+    /** true if the host at @p index holds an anti-affinity sibling of
+     *  VM @p id. */
+    bool holdsSibling(VmId id, std::size_t index) const;
+
+    /** Move position @p index from host index @p from's resident list
+     *  to @p to's, keeping both sorted. */
+    void relinkResident(std::size_t index, std::size_t from,
+                        std::size_t to);
 
     std::vector<PlannedHost> hosts_;
     std::vector<PlannedVm> vms_;
@@ -170,6 +244,12 @@ class PlacementModel
     std::vector<std::int32_t> vmSlot_;
     std::vector<double> cpuUsed_;
     std::vector<double> memUsed_;
+    /** Positions in hosts_ of the usable hosts, ascending. */
+    std::vector<std::uint32_t> usable_;
+    /** Per host index: positions in vms_ of its residents, ascending. */
+    std::vector<std::vector<std::uint32_t>> residents_;
+    bool trialOpen_ = false;
+    std::vector<Undo> undo_;
 
     /** VM id -> anti-affinity group (absent = unconstrained). */
     std::unordered_map<VmId, int> vmGroup_;

@@ -60,6 +60,7 @@ FleetStore::growHosts(std::size_t n)
     growColumn(hostCapMhz_, hostCount_, cap, 0.0);
     growColumn(hostFreqFraction_, hostCount_, cap, 1.0);
     growColumn(hostMigOverheadMhz_, hostCount_, cap, 0.0);
+    growColumn(hostChangeStamp_, hostCount_, cap, std::uint64_t{0});
     growColumn(hostDemandCache_, hostCount_, cap, 0.0);
     growColumn(hostGrantedCache_, hostCount_, cap, 0.0);
     growColumn(hostMemoryCache_, hostCount_, cap, 0.0);

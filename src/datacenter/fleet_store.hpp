@@ -158,6 +158,15 @@ class FleetStore
         hostMigOverheadMhz_[idx(h)] = mhz;
     }
 
+    /** Per-host change stamp (see Host::bumpChangeStamp): a queued
+     *  migration whose endpoints' stamps are unchanged skips
+     *  re-evaluation. Bookkeeping only, so not part of the snapshot. */
+    std::uint64_t hostChangeStamp(HostId h) const
+    {
+        return hostChangeStamp_[idx(h)];
+    }
+    void bumpHostChangeStamp(HostId h) { ++hostChangeStamp_[idx(h)]; }
+
     /** @name Memoized per-host aggregates (see Host's lazy recomputes) */
     ///@{
     double hostDemandCacheMhz(HostId h) const
@@ -380,6 +389,7 @@ class FleetStore
     std::unique_ptr<double[]> hostCapMhz_;
     std::unique_ptr<double[]> hostFreqFraction_;
     std::unique_ptr<double[]> hostMigOverheadMhz_;
+    std::unique_ptr<std::uint64_t[]> hostChangeStamp_;
     std::unique_ptr<double[]> hostDemandCache_;
     std::unique_ptr<double[]> hostGrantedCache_;
     std::unique_ptr<double[]> hostMemoryCache_;

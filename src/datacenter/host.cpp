@@ -57,6 +57,7 @@ Host::init(const power::HostPowerSpec &power_spec)
     // (e.g. DatacenterSim's hosts-on tracker) read them.
     fsm_.addObserver([this](power::PowerPhase, power::PowerPhase to) {
         store_->setHostPhase(id_, static_cast<std::uint8_t>(to));
+        bumpChangeStamp();
         store_->markHost(id_, FleetStore::kAllocDirty);
         store_->queueAllocDirty(id_);
         updatePowerDraw();
@@ -171,6 +172,7 @@ Host::addVm(Vm &vm)
     vms_.push_back(&vm);
     vmIds_.push_back(vm.id());
     vm.setResidentHost(this);
+    bumpChangeStamp();
     markMembershipChanged();
 }
 
@@ -184,6 +186,7 @@ Host::removeVm(Vm &vm)
     vmIds_.erase(vmIds_.begin() + (it - vms_.begin()));
     vms_.erase(it);
     vm.setResidentHost(nullptr);
+    bumpChangeStamp();
     markMembershipChanged();
 }
 

@@ -203,6 +203,15 @@ class Host
     void adjustActiveMigrations(int delta);
     ///@}
 
+    /**
+     * Bump this host's change stamp (FleetStore::hostChangeStamp): this
+     * host changed in a way that can alter the outcome of a queued
+     * migration's revalidation. The host bumps it on power-phase and
+     * resident changes; the migration engine when a migration starts
+     * into or ends at the host or a resident's queued request is dropped.
+     */
+    void bumpChangeStamp() { store_->bumpHostChangeStamp(id_); }
+
     /** @name Incremental bookkeeping (see DESIGN.md) */
     ///@{
     /** A resident VM's demand changed: demand aggregate + grants stale.

@@ -109,8 +109,8 @@ MigrationEngine::memoryFitsAfterPending(const Vm &vm, HostId dest) const
     const Host &dest_ref = cluster_.host(dest);
     double departing_mb = 0.0;
     for (const Vm *resident : dest_ref.vms()) {
-        const auto it = involved_.find(resident->id());
-        if (it != involved_.end() && it->second != dest)
+        const HostId leaving_to = destinationOf(resident->id());
+        if (leaving_to != invalidHostId && leaving_to != dest)
             departing_mb += resident->memoryMb();
     }
     return dest_ref.committedMemoryMb() +
@@ -138,12 +138,66 @@ MigrationEngine::slotsFree(HostId source, HostId dest) const
     return !topology_ || topology_->uplinkSlotsFree(source, dest);
 }
 
+void
+MigrationEngine::setTopology(Topology *topology)
+{
+    // Queued requests' stamps and in-flight uplink reservations belong to
+    // the network they were made on.
+    if (activeCount_ > 0 || !queue_.empty())
+        sim::panic("MigrationEngine::setTopology: %d migrations in flight "
+                   "and %zu queued", activeCount_, queue_.size());
+    topology_ = topology;
+}
+
+void
+MigrationEngine::setDestination(VmId vm_id, HostId dest)
+{
+    const auto index = static_cast<std::size_t>(vm_id);
+    if (index >= destination_.size()) {
+        const std::size_t size = std::max(index + 1, cluster_.vmCount());
+        destination_.resize(size, invalidHostId);
+        activeDuration_.resize(size);
+    }
+    destination_[index] = dest;
+}
+
+void
+MigrationEngine::stamp(Request &req) const
+{
+    const FleetStore &fleet = cluster_.fleet();
+    req.source = cluster_.vm(req.vm).host();
+    req.sourceStamp = fleet.hostChangeStamp(req.source);
+    req.destStamp = fleet.hostChangeStamp(req.dest);
+    if (topology_) {
+        req.sourceRackStamp =
+            topology_->uplinkStamp(topology_->rackOf(req.source));
+        req.destRackStamp =
+            topology_->uplinkStamp(topology_->rackOf(req.dest));
+    }
+}
+
+bool
+MigrationEngine::stale(const Request &req) const
+{
+    // The VM cannot leave its source without the source's stamp moving
+    // (removeVm bumps it), so the recorded source is still where it is.
+    const FleetStore &fleet = cluster_.fleet();
+    if (fleet.hostChangeStamp(req.source) != req.sourceStamp ||
+        fleet.hostChangeStamp(req.dest) != req.destStamp)
+        return true;
+    return topology_ &&
+           (topology_->uplinkStamp(topology_->rackOf(req.source)) !=
+                req.sourceRackStamp ||
+            topology_->uplinkStamp(topology_->rackOf(req.dest)) !=
+                req.destRackStamp);
+}
+
 bool
 MigrationEngine::request(VmId vm_id, HostId dest)
 {
     PROF_ZONE("migration.request");
     const Vm &vm = cluster_.vm(vm_id);
-    if (involved_.contains(vm_id)) {
+    if (involved(vm_id)) {
         sim::warn("migration of '%s' rejected: already migrating or queued",
                   vm.name().c_str());
         return false;
@@ -151,13 +205,15 @@ MigrationEngine::request(VmId vm_id, HostId dest)
     if (!validate(vm, dest, false))
         return false;
 
-    involved_.emplace(vm_id, dest);
+    setDestination(vm_id, dest);
     if (slotsFree(vm.host(), dest) && memoryFitsNow(vm, dest)) {
         start(vm_id, dest);
     } else {
         // Waits for a migration slot, or for a departing VM to free
         // memory on the destination (dependent moves serialize here).
-        queue_.push_back({vm_id, dest, telemetry::currentContext()});
+        Request req{vm_id, dest, telemetry::currentContext()};
+        stamp(req);
+        queue_.push_back(req);
     }
     return true;
 }
@@ -165,14 +221,15 @@ MigrationEngine::request(VmId vm_id, HostId dest)
 bool
 MigrationEngine::involved(VmId vm) const
 {
-    return involved_.contains(vm);
+    return destinationOf(vm) != invalidHostId;
 }
 
 HostId
 MigrationEngine::destinationOf(VmId vm) const
 {
-    const auto it = involved_.find(vm);
-    return it != involved_.end() ? it->second : invalidHostId;
+    const auto index = static_cast<std::size_t>(vm);
+    return index < destination_.size() ? destination_[index]
+                                       : invalidHostId;
 }
 
 void
@@ -188,6 +245,9 @@ MigrationEngine::start(VmId vm_id, HostId dest)
     src_ref.adjustActiveMigrations(1);
     dest_ref.adjustActiveMigrations(1);
     dest_ref.adjustInboundReservedMemoryMb(vm.memoryMb());
+    // The reservation can invalidate requests bound for dest. The rest of
+    // a start only takes slots away, which never lets a request start.
+    dest_ref.bumpChangeStamp();
 
     // Charge the pre-copy CPU tax to both endpoints for the duration.
     const double tax = config_.cpuTaxFraction * vm.cpuMhz();
@@ -217,7 +277,7 @@ MigrationEngine::start(VmId vm_id, HostId dest)
                                      source, dest, duration.toSeconds());
     }
 
-    activeDurations_[vm_id] = duration;
+    activeDuration_[static_cast<std::size_t>(vm_id)] = duration;
     simulator_.schedule(
         duration,
         [this, vm_id, source, dest] { complete(vm_id, source, dest); },
@@ -238,6 +298,10 @@ MigrationEngine::complete(VmId vm_id, HostId source, HostId dest)
     src_ref.adjustActiveMigrations(-1);
     dest_ref.adjustActiveMigrations(-1);
     dest_ref.adjustInboundReservedMemoryMb(-vm.memoryMb());
+    // Slots and the reservation are free again (moveVm below bumps both
+    // as well, but an abort does not move the VM).
+    src_ref.bumpChangeStamp();
+    dest_ref.bumpChangeStamp();
 
     if (topology_) {
         topology_->releaseUplink(source, dest);
@@ -246,14 +310,13 @@ MigrationEngine::complete(VmId vm_id, HostId source, HostId dest)
     }
 
     vm.setMigrating(false);
-    involved_.erase(vm_id);
+    setDestination(vm_id, invalidHostId);
     --activeCount_;
 
     // A crash on either endpoint mid-copy kills the stream: abort, the
     // VM stays wherever it physically is (the source).
     if (!src_ref.isOn() || !dest_ref.isOn()) {
         ++aborted_;
-        activeDurations_.erase(vm_id);
         telemetry::global().journal().migrationAbort(
             simulator_.now().micros(), vm_id, source, dest,
             "endpoint lost power");
@@ -266,12 +329,12 @@ MigrationEngine::complete(VmId vm_id, HostId source, HostId dest)
     }
 
     ++completed_;
-    const double actual_seconds = activeDurations_.at(vm_id).toSeconds();
+    const double actual_seconds =
+        activeDuration_[static_cast<std::size_t>(vm_id)].toSeconds();
     durations_.add(actual_seconds);
     migrationSecondsHistogram().observe(actual_seconds);
     telemetry::global().journal().migrationFinish(
         simulator_.now().micros(), vm_id, source, dest, actual_seconds);
-    activeDurations_.erase(vm_id);
 
     cluster_.moveVm(vm_id, dest);
     src_ref.updatePowerDraw();
@@ -287,30 +350,50 @@ void
 MigrationEngine::drainQueue()
 {
     PROF_ZONE("migration.drain_queue");
-    // Start every queued request whose endpoints now have slots. One pass
-    // is enough: slots only free up on completion, which re-drains.
-    std::deque<Request> still_waiting;
-    while (!queue_.empty()) {
-        const Request req = queue_.front();
-        queue_.pop_front();
-
-        const Vm &vm = cluster_.vm(req.vm);
-        if (!validate(vm, req.dest, true)) {
-            involved_.erase(req.vm);
-            ++dropped_;
-            continue;
+    // Start every queued request whose endpoints now have slots, in FIFO
+    // order. One pass is enough: slots only free up on completion, which
+    // re-drains. A request none of whose inputs changed since its last
+    // evaluation would be kept again, so it is kept without evaluating;
+    // starts and drops earlier in this pass bump the stamps they touch.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        Request &req = queue_[i];
+        if (stale(req)) {
+            const Vm &vm = cluster_.vm(req.vm);
+            if (!validate(vm, req.dest, true)) {
+                // The VM no longer departs its host: requests bound there
+                // counted its memory as leaving.
+                setDestination(req.vm, invalidHostId);
+                if (vm.placed())
+                    cluster_.host(vm.host()).bumpChangeStamp();
+                ++dropped_;
+                continue;
+            }
+            if (slotsFree(vm.host(), req.dest) &&
+                memoryFitsNow(vm, req.dest)) {
+                // We are inside some other migration's completion event;
+                // restore the context of the decision that queued it.
+                telemetry::TraceScope scope(req.context);
+                start(req.vm, req.dest);
+                continue;
+            }
+            stamp(req);
         }
-        if (slotsFree(vm.host(), req.dest) &&
-            memoryFitsNow(vm, req.dest)) {
-            // We are inside some other migration's completion event;
-            // restore the context of the decision that queued this one.
-            telemetry::TraceScope scope(req.context);
-            start(req.vm, req.dest);
-        } else {
-            still_waiting.push_back(req);
-        }
+        if (kept != i)
+            queue_[kept] = req;
+        ++kept;
     }
-    queue_ = std::move(still_waiting);
+    queue_.resize(kept);
+}
+
+std::vector<std::pair<VmId, HostId>>
+MigrationEngine::queuedRequests() const
+{
+    std::vector<std::pair<VmId, HostId>> out;
+    out.reserve(queue_.size());
+    for (const Request &req : queue_)
+        out.emplace_back(req.vm, req.dest);
+    return out;
 }
 
 void

@@ -7,16 +7,17 @@
  * a migration takes memory-size/bandwidth time (with a dirty-page retransmit
  * factor), taxes CPU on both endpoints while in flight, and each host only
  * sustains a few concurrent migrations. Requests beyond the concurrency cap
- * queue FIFO and are revalidated when they finally start.
+ * queue FIFO; a completion revalidates the queued requests whose endpoints
+ * (or racks) changed since their last check, and starts those that fit.
  */
 
 #ifndef VPM_DATACENTER_MIGRATION_HPP
 #define VPM_DATACENTER_MIGRATION_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "datacenter/cluster.hpp"
 #include "datacenter/topology.hpp"
@@ -103,9 +104,10 @@ class MigrationEngine
      * Attach a network topology: cross-rack migrations then ride the
      * (slower) uplink bandwidth and compete for per-rack uplink slots.
      * Pass nullptr to restore the flat network. The topology must
-     * outlive the engine.
+     * outlive the engine, and be attached while no migration is in
+     * flight or queued (panic otherwise).
      */
-    void setTopology(Topology *topology) { topology_ = topology; }
+    void setTopology(Topology *topology);
 
     /** @name Counters */
     ///@{
@@ -128,6 +130,9 @@ class MigrationEngine
     const stats::Summary &durations() const { return durations_; }
     ///@}
 
+    /** Queued requests in FIFO order, as (VM, destination) pairs. */
+    std::vector<std::pair<VmId, HostId>> queuedRequests() const;
+
     /** Subscribe to migration completions (single handler). */
     void setOnComplete(CompletionHandler handler);
 
@@ -143,6 +148,13 @@ class MigrationEngine
          *  starts from a later completion event must still be attributed
          *  to the decision that requested it. */
         telemetry::TraceContext context;
+
+        /** Inputs seen by the last evaluation (see stale()). */
+        HostId source = invalidHostId;
+        std::uint64_t sourceStamp = 0;
+        std::uint64_t destStamp = 0;
+        std::uint64_t sourceRackStamp = 0;
+        std::uint64_t destRackStamp = 0;
     };
 
     /** Validation shared by request() and queue drain. */
@@ -163,6 +175,19 @@ class MigrationEngine
      */
     bool memoryFitsNow(const Vm &vm, HostId dest) const;
 
+    /**
+     * Record the stamps of the request's endpoints and racks: every input
+     * of its revalidation bumps one of them when it changes.
+     */
+    void stamp(Request &req) const;
+
+    /** true if an input of @p req changed since its last evaluation. */
+    bool stale(const Request &req) const;
+
+    /** Set (or with invalidHostId clear) the VM's migration destination,
+     *  growing the per-VM columns on demand. */
+    void setDestination(VmId vm, HostId dest);
+
     void start(VmId vm, HostId dest);
     void complete(VmId vm, HostId source, HostId dest);
     void drainQueue();
@@ -172,9 +197,13 @@ class MigrationEngine
     MigrationConfig config_;
     Topology *topology_ = nullptr;
 
-    std::deque<Request> queue_;
-    std::unordered_map<VmId, HostId> involved_;
-    std::unordered_map<VmId, sim::SimTime> activeDurations_;
+    /** FIFO of waiting requests, compacted in place by drainQueue(). */
+    std::vector<Request> queue_;
+    /** Per VM id: destination of its in-flight or queued migration
+     *  (invalidHostId = not involved) and, while in flight, its frozen
+     *  duration. Grown on demand as the cluster gains VMs. */
+    std::vector<HostId> destination_;
+    std::vector<sim::SimTime> activeDuration_;
     int activeCount_ = 0;
     std::uint64_t started_ = 0;
     std::uint64_t completed_ = 0;

@@ -21,6 +21,7 @@ Topology::Topology(int host_count, const TopologyConfig &config)
     rackCount_ =
         (host_count + config_.hostsPerRack - 1) / config_.hostsPerRack;
     uplinkFlows_.assign(static_cast<std::size_t>(rackCount_), 0);
+    uplinkStamps_.assign(static_cast<std::size_t>(rackCount_), 0);
 }
 
 RackId
@@ -88,6 +89,7 @@ Topology::releaseUplink(HostId a, HostId b)
             sim::panic("Topology: uplink release underflow on rack %d",
                        rack);
         --flows;
+        ++uplinkStamps_[static_cast<std::size_t>(rack)];
     }
 }
 

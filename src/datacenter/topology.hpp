@@ -16,6 +16,7 @@
 #ifndef VPM_DATACENTER_TOPOLOGY_HPP
 #define VPM_DATACENTER_TOPOLOGY_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "datacenter/vm.hpp"
@@ -76,6 +77,15 @@ class Topology
 
     /** Cross-rack flows currently charged to @p rack's uplink. */
     int uplinkFlows(RackId rack) const;
+
+    /** Counter bumped whenever a flow charged to @p rack is released.
+     *  Acquiring only takes slots away, which never lets a waiting
+     *  migration start, so a queued migration whose racks' stamps are
+     *  unchanged needs no new uplinkSlotsFree() answer. */
+    std::uint64_t uplinkStamp(RackId rack) const
+    {
+        return uplinkStamps_[static_cast<std::size_t>(rack)];
+    }
     ///@}
 
     const TopologyConfig &config() const { return config_; }
@@ -85,6 +95,7 @@ class Topology
     int hostCount_;
     int rackCount_;
     std::vector<int> uplinkFlows_;
+    std::vector<std::uint64_t> uplinkStamps_;
 };
 
 } // namespace vpm::dc

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <utility>
 
 #include "simcore/logging.hpp"
 #include "simcore/random.hpp"
@@ -115,39 +116,54 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
     putRaw<std::uint32_t>(out_, samplesPerChunk_);
     putRaw<std::uint64_t>(out_, 0); // index_offset
     putRaw<std::uint64_t>(out_, 0); // total_samples
+    offset_ = kHeaderBytes;
 }
 
 void
 TraceFileWriter::flushChunk(const PendingChunk &chunk,
                             std::int64_t end_ts_us)
 {
-    std::vector<std::uint8_t> payload;
-    payload.reserve(chunk.ts.size() * 3);
-    putVarint(payload, chunk.level[0]);
+    // Encode the payload behind room for the header, fill the header in
+    // once the payload size is known, and emit both with one write. The
+    // buffer keeps its capacity across chunks.
+    chunkBytes_.resize(kChunkHeaderBytes);
+    putVarint(chunkBytes_, chunk.level[0]);
     for (std::size_t i = 1; i < chunk.ts.size(); ++i) {
-        putVarint(payload,
+        putVarint(chunkBytes_,
                   static_cast<std::uint64_t>(chunk.ts[i] - chunk.ts[i - 1]));
-        putVarint(payload,
+        putVarint(chunkBytes_,
                   zigzag(static_cast<std::int64_t>(chunk.level[i]) -
                          static_cast<std::int64_t>(chunk.level[i - 1])));
     }
+    const std::size_t payload_bytes = chunkBytes_.size() - kChunkHeaderBytes;
+
+    std::uint8_t *header = chunkBytes_.data();
+    const std::uint32_t words[4] = {
+        static_cast<std::uint32_t>(currentVm_),
+        static_cast<std::uint32_t>(chunk.ts.size()),
+        static_cast<std::uint32_t>(payload_bytes), 0};
+    const std::int64_t span[2] = {chunk.ts[0], end_ts_us};
+    std::memcpy(header, words, sizeof(words));
+    std::memcpy(header + sizeof(words), span, sizeof(span));
 
     IndexEntry &entry = index_[static_cast<std::size_t>(currentVm_)];
     if (entry.chunkCount == 0)
-        entry.firstChunkOffset = static_cast<std::uint64_t>(out_.tellp());
-    putRaw<std::uint32_t>(out_, static_cast<std::uint32_t>(currentVm_));
-    putRaw<std::uint32_t>(out_, static_cast<std::uint32_t>(chunk.ts.size()));
-    putRaw<std::uint32_t>(out_, static_cast<std::uint32_t>(payload.size()));
-    putRaw<std::uint32_t>(out_, 0);
-    putRaw<std::int64_t>(out_, chunk.ts[0]);
-    putRaw<std::int64_t>(out_, end_ts_us);
-    out_.write(reinterpret_cast<const char *>(payload.data()),
-               static_cast<std::streamsize>(payload.size()));
+        entry.firstChunkOffset = offset_;
+    out_.write(reinterpret_cast<const char *>(chunkBytes_.data()),
+               static_cast<std::streamsize>(chunkBytes_.size()));
+    offset_ += chunkBytes_.size();
 
     ++entry.chunkCount;
     entry.totalSamples += static_cast<std::uint32_t>(chunk.ts.size());
-    entry.byteLen += kChunkHeaderBytes + payload.size();
+    entry.byteLen += chunkBytes_.size();
     totalSamples_ += chunk.ts.size();
+}
+
+void
+TraceFileWriter::PendingChunk::clear()
+{
+    ts.clear();
+    level.clear();
 }
 
 void
@@ -159,12 +175,12 @@ TraceFileWriter::finishCurrentVm()
     // chunk of the VM is open-ended (its final level holds forever).
     if (haveHeld_) {
         flushChunk(held_, open_.ts.empty() ? kOpenEnd : open_.ts.front());
-        held_ = PendingChunk{};
+        held_.clear();
         haveHeld_ = false;
     }
     if (!open_.ts.empty()) {
         flushChunk(open_, kOpenEnd);
-        open_ = PendingChunk{};
+        open_.clear();
     }
 }
 
@@ -211,9 +227,10 @@ TraceFileWriter::append(std::uint32_t vm, std::int64_t ts_us,
     if (open_.ts.size() >= samplesPerChunk_) {
         if (haveHeld_)
             flushChunk(held_, open_.ts.front());
-        held_ = std::move(open_);
+        // Swap, not move: open_ inherits the flushed chunk's capacity.
+        std::swap(held_, open_);
+        open_.clear();
         haveHeld_ = true;
-        open_ = PendingChunk{};
     }
 }
 
@@ -225,8 +242,7 @@ TraceFileWriter::finish(std::string *error)
     finished_ = true;
     finishCurrentVm();
 
-    const std::uint64_t index_offset =
-        static_cast<std::uint64_t>(out_.tellp());
+    const std::uint64_t index_offset = offset_;
     for (const IndexEntry &entry : index_) {
         putRaw<std::uint64_t>(out_, entry.firstChunkOffset);
         putRaw<std::uint64_t>(out_, entry.byteLen);

@@ -112,6 +112,9 @@ class TraceFileWriter
     {
         std::vector<std::int64_t> ts;
         std::vector<std::uint32_t> level;
+
+        /** Empty the chunk, keeping its capacity. */
+        void clear();
     };
     struct IndexEntry
     {
@@ -141,6 +144,10 @@ class TraceFileWriter
     PendingChunk held_;
     bool haveHeld_ = false;
     PendingChunk open_;
+    /** One chunk's header + payload, reused across chunks. */
+    std::vector<std::uint8_t> chunkBytes_;
+    /** File offset of the next byte written. */
+    std::uint64_t offset_ = 0;
     bool finished_ = false;
 };
 

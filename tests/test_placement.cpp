@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "core/placement.hpp"
@@ -304,6 +306,143 @@ TEST_P(PlacementPropertyTest, RebalanceNeverWorsensPeak)
     for (int h = 0; h < 5; ++h)
         peak_after = std::max(peak_after, model.cpuUtilization(h));
     EXPECT_LE(peak_after, peak_before + 1e-9);
+}
+
+/** Everything a failed evacuation must leave exactly as it found it:
+ *  usage by bit pattern, assignments, pins and anti-affinity answers. */
+struct ModelImage
+{
+    std::vector<std::uint64_t> usageBits;
+    std::vector<PlannedVm> vms;
+    std::vector<bool> fits;
+
+    explicit ModelImage(const PlacementModel &model)
+    {
+        for (const PlannedHost &host : model.hosts()) {
+            usageBits.push_back(
+                std::bit_cast<std::uint64_t>(model.cpuUsedMhz(host.id)));
+            usageBits.push_back(
+                std::bit_cast<std::uint64_t>(model.memoryUsedMb(host.id)));
+            for (const PlannedVm &vm : model.vms())
+                fits.push_back(model.fits(vm, host.id, 0.9));
+        }
+        vms = model.vms();
+    }
+
+    bool
+    operator==(const ModelImage &other) const
+    {
+        if (vms.size() != other.vms.size())
+            return false;
+        for (std::size_t i = 0; i < vms.size(); ++i) {
+            if (vms[i].id != other.vms[i].id ||
+                vms[i].host != other.vms[i].host ||
+                vms[i].movable != other.vms[i].movable ||
+                std::bit_cast<std::uint64_t>(vms[i].cpuMhz) !=
+                    std::bit_cast<std::uint64_t>(other.vms[i].cpuMhz))
+                return false;
+        }
+        return usageBits == other.usageBits && fits == other.fits;
+    }
+};
+
+/** vmsOn() from the resident index must equal a scan of vms(). */
+void
+expectIndexMatchesScan(const PlacementModel &model)
+{
+    for (const PlannedHost &host : model.hosts()) {
+        std::vector<VmId> scanned;
+        for (const PlannedVm &vm : model.vms()) {
+            if (vm.host == host.id)
+                scanned.push_back(vm.id);
+        }
+        EXPECT_EQ(model.vmsOn(host.id), scanned) << "host " << host.id;
+    }
+}
+
+TEST_P(PlacementPropertyTest, ResidentIndexAndTrialRollback)
+{
+    // Random apply, evacuation (successful and failed), rebalance and
+    // in-place refresh on a fleet with anti-affinity groups and racks.
+    sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+    const int n_hosts = 10;
+    std::vector<PlannedHost> hosts;
+    for (int h = 0; h < n_hosts; ++h) {
+        PlannedHost host = makeHost(h, rng.uniform(8000.0, 20000.0),
+                                    rng.uniform(16384.0, 40000.0),
+                                    rng.bernoulli(0.85));
+        host.rack = static_cast<int>(rng.uniformInt(0, 2));
+        hosts.push_back(host);
+    }
+    const int n_vms = 36;
+    std::vector<PlannedVm> vms;
+    for (int v = 0; v < n_vms; ++v) {
+        vms.push_back(makeVm(v,
+                             static_cast<HostId>(
+                                 rng.uniformInt(0, n_hosts - 1)),
+                             rng.uniform(300.0, 4000.0),
+                             rng.uniform(1024.0, 6000.0)));
+    }
+    PlacementModel model(hosts, vms);
+    const std::vector<std::vector<VmId>> groups{{0, 1, 2}, {3, 4}, {5, 6, 7}};
+    model.setAntiAffinityGroups(groups);
+    expectIndexMatchesScan(model);
+
+    const auto heuristic = [&] {
+        return static_cast<PackingHeuristic>(rng.uniformInt(0, 2));
+    };
+    int failed_evacuations = 0;
+    int planned_evacuations = 0;
+    for (int step = 0; step < 300 && !HasFailure(); ++step) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        const double r = rng.uniform01();
+        if (r < 0.3) {
+            const VmId vm = static_cast<VmId>(rng.uniformInt(0, n_vms - 1));
+            const HostId to =
+                static_cast<HostId>(rng.uniformInt(0, n_hosts - 1));
+            model.apply({vm, model.vm(vm).host, to});
+        } else if (r < 0.7) {
+            const HostId victim =
+                static_cast<HostId>(rng.uniformInt(0, n_hosts - 1));
+            const ModelImage before(model);
+            const auto plan =
+                planEvacuation(model, victim, rng.uniform(0.4, 0.95),
+                               heuristic(), rng.bernoulli(0.5));
+            if (plan) {
+                ++planned_evacuations;
+                EXPECT_TRUE(model.vmsOn(victim).empty());
+            } else {
+                ++failed_evacuations;
+                EXPECT_TRUE(ModelImage(model) == before)
+                    << "failed evacuation of host " << victim
+                    << " changed the model";
+            }
+        } else if (r < 0.85) {
+            planRebalance(model, rng.uniform(0.5, 0.9),
+                          rng.uniform(0.05, 0.4),
+                          static_cast<int>(rng.uniformInt(0, 6)),
+                          heuristic(), rng.bernoulli(0.5));
+        } else {
+            // Next management cycle: refresh every host and VM in place
+            // (usability, new predictions, unpinned, some moved), as the
+            // manager does.
+            for (std::size_t h = 0; h < model.hosts().size(); ++h)
+                model.refreshHost(h, rng.bernoulli(0.85));
+            for (std::size_t i = 0; i < model.vms().size(); ++i) {
+                const PlannedVm &vm = model.vms()[i];
+                const HostId host =
+                    rng.bernoulli(0.1)
+                        ? static_cast<HostId>(rng.uniformInt(0, n_hosts - 1))
+                        : vm.host;
+                model.refreshVm(i, host, rng.uniform(300.0, 4000.0), true);
+            }
+            model.rebuildUsage();
+            model.setAntiAffinityGroups(groups);
+        }
+        expectIndexMatchesScan(model);
+    }
+    EXPECT_GT(failed_evacuations, 0);
+    EXPECT_GT(planned_evacuations, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementPropertyTest,
