@@ -96,6 +96,7 @@ runBody(const vpm::bench::BenchArgs &args)
                  "times a day — a small multiple of DRM's balancing\n"
                  "traffic — while its *performance* overhead (SLA) stays "
                  "at DRM's level, which is\nthe paper's adoption argument.\n";
+    bench::writeTrace(args.tracePath);
 }
 
 } // namespace

@@ -58,6 +58,7 @@
 #endif
 
 #include "core/scenario.hpp"
+#include "simcore/simulator.hpp"
 #include "simcore/thread_pool.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -203,9 +204,8 @@ parseArgs(const char *bench_id, int argc, char **argv)
     // Configure the global sink exactly once, after all flags are seen,
     // so --trace and --timeseries compose instead of the later flag's
     // configure() clobbering the earlier one.
-    const bool want_store =
-        !args.timeseriesPath.empty() || !args.watchdogPath.empty();
-    if (!args.tracePath.empty() || want_store) {
+    if (!args.tracePath.empty() || !args.timeseriesPath.empty() ||
+        !args.watchdogPath.empty()) {
         telemetry::TelemetryConfig config;
         config.enabled = true;
         // A deep ring only pays off when the journal is exported at the
@@ -213,10 +213,6 @@ parseArgs(const char *bench_id, int argc, char **argv)
         // alerts stay inspectable without the preallocation cost.
         config.journalCapacity =
             args.tracePath.empty() ? (1u << 14) : (1u << 20);
-        // Per-tick metric rows only matter when the trace export will
-        // write them out.
-        config.seriesRowsEnabled = !args.tracePath.empty();
-        config.timeseriesEnabled = want_store;
         telemetry::global().configure(config);
         if (!args.timeseriesPath.empty())
             telemetry::global().setSnapshotTarget(args.timeseriesPath);
@@ -345,9 +341,6 @@ runBench(const BenchArgs &args, const std::function<void()> &body)
         body();
     }
 
-    telemetry::Counter &dispatched =
-        telemetry::global().metrics().counter("sim.events.dispatched");
-
     std::vector<telemetry::BenchRun> runs;
     std::vector<std::vector<telemetry::BenchZoneRow>> zone_tables;
     for (int i = 0; i < args.repeat; ++i) {
@@ -355,7 +348,8 @@ runBench(const BenchArgs &args, const std::function<void()> &body)
             std::fprintf(stderr, "[bench_%s] run %d/%d\n",
                          args.benchId.c_str(), i + 1, args.repeat);
         prof.reset();
-        const std::uint64_t events_before = dispatched.value();
+        const std::uint64_t events_before =
+            sim::Simulator::processEventsDispatched();
         std::optional<StdoutSilencer> mute;
         if (i > 0)
             mute.emplace(); // humans want one copy of the tables
@@ -369,7 +363,8 @@ runBench(const BenchArgs &args, const std::function<void()> &body)
 
         telemetry::BenchRun run;
         run.wallMs = static_cast<double>(t1 - t0) / 1e6;
-        run.events = dispatched.value() - events_before;
+        run.events =
+            sim::Simulator::processEventsDispatched() - events_before;
         runs.push_back(run);
         std::vector<telemetry::BenchZoneRow> rows;
         const std::vector<telemetry::ZoneNode> merged = prof.mergedNodes();
@@ -505,7 +500,7 @@ policyHeader()
 
 /**
  * If @p trace_path is non-empty, dump the global telemetry sink: Chrome
- * trace at the path itself plus .jsonl journal and .csv metric series
+ * trace at the path itself plus .jsonl journal and .csv store-bucket
  * siblings. Prints where the files went.
  */
 inline void
@@ -514,8 +509,8 @@ writeTrace(const std::string &trace_path)
     if (trace_path.empty())
         return;
     if (telemetry::writeTraceFiles(telemetry::global(), trace_path)) {
-        std::printf("\ntrace written: %s (+ .jsonl journal, .csv series); "
-                    "load the .json in https://ui.perfetto.dev\n",
+        std::printf("\ntrace written: %s (+ .jsonl journal, .csv store "
+                    "buckets); load the .json in https://ui.perfetto.dev\n",
                     trace_path.c_str());
     }
 }

@@ -12,28 +12,32 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "power/breakeven.hpp"
 #include "power/server_models.hpp"
 #include "stats/table.hpp"
+#include "telemetry/cli.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace vpm;
 
+    // Strict operands: "10s" or "0" is refused (exit 2), never read as 10.
+    const cli::FlagReader args(
+        "breakeven_explorer",
+        [&](std::FILE *out) {
+            std::fprintf(out, "usage: %s [idle_seconds > 0 ...]\n",
+                         argv[0]);
+        },
+        argc, argv);
     std::vector<double> intervals;
-    for (int i = 1; i < argc; ++i) {
-        const double secs = std::atof(argv[i]);
-        if (secs <= 0.0) {
-            std::fprintf(stderr, "usage: %s [idle_seconds...]\n", argv[0]);
-            return 1;
-        }
-        intervals.push_back(secs);
-    }
+    for (int i = 1; i < argc; ++i)
+        intervals.push_back(args.operandNumber(
+            i, std::numeric_limits<double>::min()));
     if (intervals.empty())
         intervals = {10, 30, 60, 300, 1800, 7200, 28800};
 

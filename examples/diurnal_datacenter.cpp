@@ -9,69 +9,51 @@
  * drain away overnight and return for the morning ramp.
  *
  * Usage: diurnal_datacenter [hosts] [vms] [policy]
- *   policy: nopm | drm | s5 | s3 | adaptive (default s3)
+ *   policy: any policy-registry name (default s3)
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "stats/table.hpp"
-
-namespace {
-
-vpm::mgmt::PolicyKind
-parsePolicy(const char *name)
-{
-    using vpm::mgmt::PolicyKind;
-    if (std::strcmp(name, "nopm") == 0)
-        return PolicyKind::NoPM;
-    if (std::strcmp(name, "drm") == 0)
-        return PolicyKind::DrmOnly;
-    if (std::strcmp(name, "s5") == 0)
-        return PolicyKind::PmS5;
-    if (std::strcmp(name, "s3") == 0)
-        return PolicyKind::PmS3;
-    if (std::strcmp(name, "adaptive") == 0)
-        return PolicyKind::PmAdaptive;
-    std::fprintf(stderr, "unknown policy '%s' "
-                         "(nopm|drm|s5|s3|adaptive)\n", name);
-    std::exit(1);
-}
-
-} // namespace
+#include "telemetry/cli.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace vpm;
 
-    int hosts = 8;
-    int vms = 40;
-    mgmt::PolicyKind policy = mgmt::PolicyKind::PmS3;
-    if (argc > 1)
-        hosts = std::atoi(argv[1]);
-    if (argc > 2)
-        vms = std::atoi(argv[2]);
-    if (argc > 3)
-        policy = parsePolicy(argv[3]);
-    if (hosts < 1 || vms < 0) {
-        std::fprintf(stderr, "usage: %s [hosts] [vms] [policy]\n", argv[0]);
-        return 1;
-    }
+    // Strict operands: a malformed count or an unknown policy name is
+    // refused (exit 2) before anything runs.
+    const cli::FlagReader args(
+        "diurnal_datacenter",
+        [&](std::FILE *out) {
+            std::fprintf(out, "usage: %s [hosts >= 1] [vms >= 0] [%s]\n",
+                         argv[0], mgmt::policyNameList().c_str());
+        },
+        argc, argv);
+    if (argc > 4)
+        args.refuse("too many operands");
 
     mgmt::ScenarioConfig config;
-    config.hostCount = hosts;
-    config.vmCount = vms;
+    config.hostCount =
+        argc > 1 ? static_cast<int>(args.operandInteger(1, 1)) : 8;
+    config.vmCount =
+        argc > 2 ? static_cast<int>(args.operandInteger(2, 0)) : 40;
     config.duration = sim::SimTime::hours(24.0);
-    config.manager = mgmt::makePolicy(policy);
+    const std::string policy = argc > 3 ? argv[3] : "s3";
+    const std::optional<mgmt::PolicyPreset> preset =
+        mgmt::applyPolicy(config, policy);
+    if (!preset)
+        args.refuse("unknown policy '" + policy + "'");
 
     const double peak_w = config.powerSpec.peakPowerWatts();
     const double cap_mhz = config.hostConfig.cpuCapacityMhz;
 
-    stats::Table hourly("hour-by-hour: " + std::string(toString(policy)),
+    stats::Table hourly("hour-by-hour: " + preset->label,
                         {"hour", "load", "hosts on", "asleep", "in transit",
                          "cluster W", "ideal W"});
     sim::SimTime next_report;

@@ -10,27 +10,31 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/scenario.hpp"
 #include "stats/table.hpp"
+#include "telemetry/cli.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace vpm;
 
-    int hosts = 8;
-    int vms = 40;
-    if (argc > 1)
-        hosts = std::atoi(argv[1]);
-    if (argc > 2)
-        vms = std::atoi(argv[2]);
-    if (hosts < 1 || vms < 0) {
-        std::fprintf(stderr, "usage: %s [hosts >= 1] [vms >= 0]\n", argv[0]);
-        return 1;
-    }
+    // Strict operands: "5x" or "-1" is refused (exit 2), never read as 5.
+    const cli::FlagReader args(
+        "quickstart",
+        [&](std::FILE *out) {
+            std::fprintf(out, "usage: %s [hosts >= 1] [vms >= 0]\n",
+                         argv[0]);
+        },
+        argc, argv);
+    if (argc > 3)
+        args.refuse("too many operands");
+    const int hosts =
+        argc > 1 ? static_cast<int>(args.operandInteger(1, 1)) : 8;
+    const int vms = argc > 2 ? static_cast<int>(args.operandInteger(2, 0))
+                             : 40;
 
     stats::Table table("quickstart: 24 h diurnal enterprise day",
                        {"policy", "energy kWh", "vs NoPM", "satisfaction",

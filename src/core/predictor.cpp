@@ -266,7 +266,6 @@ ForecastTracker::observe(std::int64_t t_us, double actual,
         errorSum_ += pendingForecast_ - actual;
         telemetry::Telemetry &tel = telemetry::global();
         tel.journal().forecast(t_us, name_, pendingForecast_, actual);
-        tel.metrics().gauge("predictor.mae").set(meanAbsoluteError());
         // Per-cycle |error| history: one shared series across trackers, so
         // the watchdog can alarm on forecast quality regardless of which
         // predictor the policy runs.

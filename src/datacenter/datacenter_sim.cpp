@@ -106,7 +106,6 @@ DatacenterSim::idleOccSlot(const std::string &name)
     const std::size_t idx = idleOccSlots_.size();
     IdleOccSlot slot;
     slot.name = name;
-    slot.gauge = &telemetry::global().metrics().gauge(name);
     idleOccSlots_.push_back(std::move(slot));
     idleOccIndex_.emplace(name, idx);
     idleOccOrder_.push_back(idx);
@@ -135,9 +134,10 @@ DatacenterSim::sampleTelemetry()
     // integrating.
     double watts = 0.0;
     double demand_mhz = 0.0;
+    std::uint64_t backwards_clamps = 0;
     // Per-level idle-hierarchy occupancy across the fleet: how many cores
     // (and packages) are resident at each named state right now. A slot
-    // whose epoch matches this tick was touched; everything else reads 0.
+    // whose epoch matches this tick was touched this tick.
     ++idleOccEpoch_;
     const auto touch = [this](std::size_t idx, double v) {
         IdleOccSlot &slot = idleOccSlots_[idx];
@@ -147,7 +147,6 @@ DatacenterSim::sampleTelemetry()
         }
         slot.value += v;
     };
-    bool any_hierarchy = false;
     const FleetStore &fleet = cluster_.fleet();
     const auto &hosts = cluster_.hosts();
     const double *held_watts = fleet.hostHeldWattsData();
@@ -163,11 +162,11 @@ DatacenterSim::sampleTelemetry()
             (void)hosts[i]->vmDemandMhz();
         watts += held_watts[i];
         demand_mhz += demand_cache[i];
+        backwards_clamps += hosts[i]->meter().backwardsClamps();
         if (!fleet.hostHasHierarchy(h))
             continue;
         const Host *host_ptr = hosts[i].get();
         if (const power::IdleHierarchy *hier = host_ptr->idleHierarchy()) {
-            any_hierarchy = true;
             if (!hier->active())
                 continue;
             const power::IdleHierarchySpec &spec = hier->spec();
@@ -208,69 +207,47 @@ DatacenterSim::sampleTelemetry()
         cachedHostsAsleep_ = cluster_.hostsAsleep();
         hostCountsDirty_ = false;
     }
-    if (wattsGauge_ == nullptr) {
-        wattsGauge_ = &tel.metrics().gauge("cluster.power.watts");
-        hostsOnGauge_ = &tel.metrics().gauge("cluster.hosts.on");
-        demandGauge_ = &tel.metrics().gauge("cluster.demand.mhz");
-    }
-    wattsGauge_->set(watts);
-    hostsOnGauge_->set(static_cast<double>(cachedHostsOn_));
-    demandGauge_->set(demand_mhz);
-    if (any_hierarchy) {
-        // A level nobody occupies this tick must read 0, not its last
-        // value.
-        for (const std::size_t idx : idleOccOrder_) {
-            IdleOccSlot &slot = idleOccSlots_[idx];
-            slot.gauge->set(slot.epoch == idleOccEpoch_ ? slot.value : 0.0);
-        }
-    }
-    // Downsampling store: the same cluster aggregates, plus queue/
-    // migration pressure, folded into compressed bucket history the
-    // watchdog and vpm_top read.
+    // Downsampling store: the cluster aggregates plus queue/migration
+    // pressure, folded into the compressed bucket history the watchdog,
+    // vpm_top and the trace exports read.
     telemetry::TimeSeriesStore &tstore = tel.timeseries();
-    if (tstore.enabled()) {
-        const std::int64_t t_us = simulator_.now().micros();
-        if (!tsMainResolved_) {
-            tsPower_ = tstore.seriesId("cluster.power.watts");
-            tsDemand_ = tstore.seriesId("cluster.demand.mhz");
-            tsHostsOn_ = tstore.seriesId("cluster.hosts.on");
-            tsHostsAsleep_ = tstore.seriesId("cluster.hosts.asleep");
-            tsQueueDepth_ = tstore.seriesId("sim.queue.depth");
-            tsMigInflight_ = tstore.seriesId("migration.inflight");
-            tsBackClamps_ = tstore.seriesId("power.meter.backwards_clamps");
-            backClampsCounter_ =
-                &tel.metrics().counter("power.meter.backwards_clamps");
-            tsMainResolved_ = true;
-        }
-        tstore.record(tsPower_, t_us, watts);
-        tstore.record(tsDemand_, t_us, demand_mhz);
-        tstore.record(tsHostsOn_, t_us,
-                      static_cast<double>(cachedHostsOn_));
-        tstore.record(tsHostsAsleep_, t_us,
-                      static_cast<double>(cachedHostsAsleep_));
-        tstore.record(tsQueueDepth_, t_us,
-                      static_cast<double>(simulator_.pendingCount()));
-        tstore.record(tsMigInflight_, t_us,
-                      static_cast<double>(migration_.activeCount()));
-        tstore.record(tsBackClamps_, t_us,
-                      static_cast<double>(backClampsCounter_->value()));
-        // Idle-hierarchy occupancy reuses the gauge names; levels nobody
-        // occupies this tick simply record nothing (gaps, not zeros).
-        // Name order keeps series registration deterministic.
-        for (const std::size_t idx : idleOccOrder_) {
-            IdleOccSlot &slot = idleOccSlots_[idx];
-            if (slot.epoch != idleOccEpoch_)
-                continue;
-            if (!slot.seriesResolved) {
-                slot.series = tstore.seriesId(slot.name);
-                slot.seriesResolved = true;
-            }
-            tstore.record(slot.series, t_us, slot.value);
-        }
+    const std::int64_t t_us = simulator_.now().micros();
+    if (!tsMainResolved_) {
+        tsPower_ = tstore.seriesId("cluster.power.watts");
+        tsDemand_ = tstore.seriesId("cluster.demand.mhz");
+        tsHostsOn_ = tstore.seriesId("cluster.hosts.on");
+        tsHostsAsleep_ = tstore.seriesId("cluster.hosts.asleep");
+        tsQueueDepth_ = tstore.seriesId("sim.queue.depth");
+        tsMigInflight_ = tstore.seriesId("migration.inflight");
+        tsBackClamps_ = tstore.seriesId("power.meter.backwards_clamps");
+        tsMainResolved_ = true;
     }
-    tel.sampleSeries(simulator_.now().micros());
-    // Seal finished buckets and run the watchdog over them; a no-op when
-    // the store is disabled.
+    tstore.record(tsPower_, t_us, watts);
+    tstore.record(tsDemand_, t_us, demand_mhz);
+    tstore.record(tsHostsOn_, t_us,
+                  static_cast<double>(cachedHostsOn_));
+    tstore.record(tsHostsAsleep_, t_us,
+                  static_cast<double>(cachedHostsAsleep_));
+    tstore.record(tsQueueDepth_, t_us,
+                  static_cast<double>(simulator_.pendingCount()));
+    tstore.record(tsMigInflight_, t_us,
+                  static_cast<double>(migration_.activeCount()));
+    tstore.record(tsBackClamps_, t_us,
+                  static_cast<double>(backwards_clamps));
+    // Idle-hierarchy occupancy: levels nobody occupies this tick
+    // simply record nothing (gaps, not zeros).
+    // Name order keeps series registration deterministic.
+    for (const std::size_t idx : idleOccOrder_) {
+        IdleOccSlot &slot = idleOccSlots_[idx];
+        if (slot.epoch != idleOccEpoch_)
+            continue;
+        if (!slot.seriesResolved) {
+            slot.series = tstore.seriesId(slot.name);
+            slot.seriesResolved = true;
+        }
+        tstore.record(slot.series, t_us, slot.value);
+    }
+    // Seal finished buckets and run the watchdog over them.
     tel.flushTimeseries(simulator_.now().micros());
 }
 

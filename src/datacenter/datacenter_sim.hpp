@@ -26,7 +26,6 @@
 #include "stats/sla_tracker.hpp"
 #include "stats/summary.hpp"
 #include "telemetry/event_journal.hpp"
-#include "telemetry/metrics_registry.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace vpm::power {
@@ -159,8 +158,8 @@ class DatacenterSim
      */
     const std::vector<Vm *> &placedVms();
 
-    /** Refresh cluster-level gauges and snapshot the metric series; no-op
-     *  when global telemetry is disabled. */
+    /** Record the cluster aggregates into the time-series store and
+     *  flush it; no-op when global telemetry is disabled. */
     void sampleTelemetry();
 
     /**
@@ -196,13 +195,13 @@ class DatacenterSim
     /**
      * @name Idle-hierarchy occupancy accumulation, allocation-free per tick
      *
-     * Every distinct occupancy gauge ("cluster.idle.core.C6", ...) gets
-     * one slot caching the gauge handle and time-series id, and every
+     * Every distinct occupancy series ("cluster.idle.core.C6", ...) gets
+     * one slot caching its time-series id, and every
      * hierarchy spec caches the slot index for each depth, so the
      * per-host sampling loop is pure integer indexing — no string
      * concatenation, no map of strings. A slot whose epoch matches the
-     * current tick was touched this tick; stale slots read 0 (a level
-     * nobody occupies must not hold its last sample). Slots are visited
+     * current tick was touched this tick; stale slots record nothing (a
+     * level nobody occupies must not hold its last sample). Slots are visited
      * in name order, reproducing the iteration order of the
      * std::map<std::string, double> accumulator this replaced, which is
      * observable as series registration order in snapshots.
@@ -211,7 +210,6 @@ class DatacenterSim
     struct IdleOccSlot
     {
         std::string name;
-        telemetry::Gauge *gauge = nullptr;
         std::uint32_t series = 0;
         bool seriesResolved = false;
         double value = 0.0;
@@ -224,7 +222,7 @@ class DatacenterSim
         std::size_t coreC0 = 0;
         std::size_t pkgC0 = 0;
     };
-    /** Find or create the slot for @p name (registers the gauge). */
+    /** Find or create the slot for @p name. */
     std::size_t idleOccSlot(const std::string &name);
     std::vector<IdleOccSlot> idleOccSlots_;
     std::vector<std::size_t> idleOccOrder_; ///< slot indices, name-sorted
@@ -274,12 +272,6 @@ class DatacenterSim
     std::uint32_t tsQueueDepth_ = 0;
     std::uint32_t tsMigInflight_ = 0;
     std::uint32_t tsBackClamps_ = 0;
-    /** `power.meter.backwards_clamps` counter handle (stable). */
-    telemetry::Counter *backClampsCounter_ = nullptr;
-    /** Cluster-aggregate gauge handles (registry storage is stable). */
-    telemetry::Gauge *wattsGauge_ = nullptr;
-    telemetry::Gauge *hostsOnGauge_ = nullptr;
-    telemetry::Gauge *demandGauge_ = nullptr;
     ///@}
 
     /** hostsOn/hostsAsleep are O(hosts) scans; phases change orders of

@@ -5,7 +5,6 @@
 
 #include "power/idle_hierarchy.hpp"
 #include "simcore/logging.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace vpm::dc {
 
@@ -63,14 +62,9 @@ Host::init(const power::HostPowerSpec &power_spec)
         updatePowerDraw();
     });
 
-    // Journal this host's power timeline under its cluster id/name, and
-    // mirror the meter into a per-host watts gauge when per-tick metric
-    // rows are collected (the only consumer of per-host gauges).
+    // Journal this host's power timeline under its cluster id/name: the
+    // journal's power_transition spans are the per-host power history.
     fsm_.setTelemetryTrack(id_, name_);
-    telemetry::Telemetry &tel = telemetry::global();
-    if (tel.enabled() && tel.config().seriesRowsEnabled)
-        meter_.attachTelemetry(
-            &tel.metrics().gauge("host." + name_ + ".watts"));
 }
 
 Host::~Host() = default;

@@ -9,21 +9,6 @@
 
 namespace vpm::dc {
 
-namespace {
-
-/** Completed-migration durations, fleet-wide. 0-120 s in 2 s buckets spans
- *  the regimes the paper's workloads produce. Handle resolved once. */
-telemetry::HistogramMetric &
-migrationSecondsHistogram()
-{
-    static telemetry::HistogramMetric &h =
-        telemetry::global().metrics().histogram("migration.seconds", 0.0,
-                                                120.0, 60);
-    return h;
-}
-
-} // namespace
-
 MigrationEngine::MigrationEngine(sim::Simulator &simulator, Cluster &cluster,
                                  const MigrationConfig &config)
     : simulator_(simulator), cluster_(cluster), config_(config)
@@ -332,7 +317,6 @@ MigrationEngine::complete(VmId vm_id, HostId source, HostId dest)
     const double actual_seconds =
         activeDuration_[static_cast<std::size_t>(vm_id)].toSeconds();
     durations_.add(actual_seconds);
-    migrationSecondsHistogram().observe(actual_seconds);
     telemetry::global().journal().migrationFinish(
         simulator_.now().micros(), vm_id, source, dest, actual_seconds);
 

@@ -1,7 +1,6 @@
 #include "power/energy_meter.hpp"
 
 #include "simcore/logging.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace vpm::power {
 
@@ -30,24 +29,17 @@ EnergyMeter::update(sim::SimTime t, double watts)
                       static_cast<long long>(t.micros()),
                       static_cast<long long>(lastTime_.micros()));
         }
-        // Count every clamp (the warning fires once): the periodic
-        // telemetry sample turns this into a series a watchdog absence/
-        // rate rule can trip on.
-        telemetry::global()
-            .metrics()
-            .counter("power.meter.backwards_clamps")
-            .increment();
+        // Count every clamp (the warning fires once): the cluster's
+        // telemetry sample turns the count into a series a watchdog
+        // absence/rate rule can trip on.
+        ++backwardsClamps_;
         heldWatts_ = watts;
-        if (wattsGauge_)
-            wattsGauge_->set(watts);
         return;
     }
 
     joules_ += heldWatts_ * (t - lastTime_).toSeconds();
     lastTime_ = t;
     heldWatts_ = watts;
-    if (wattsGauge_)
-        wattsGauge_->set(watts);
 }
 
 void
@@ -62,14 +54,6 @@ EnergyMeter::addEnergyJoules(double joules)
         return;
     }
     joules_ += joules;
-}
-
-void
-EnergyMeter::attachTelemetry(telemetry::Gauge *gauge)
-{
-    wattsGauge_ = gauge;
-    if (wattsGauge_)
-        wattsGauge_->set(heldWatts_);
 }
 
 void

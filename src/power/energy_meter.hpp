@@ -11,8 +11,9 @@
 #ifndef VPM_POWER_ENERGY_METER_HPP
 #define VPM_POWER_ENERGY_METER_HPP
 
+#include <cstdint>
+
 #include "simcore/sim_time.hpp"
-#include "telemetry/metrics_registry.hpp"
 
 namespace vpm::power {
 
@@ -38,7 +39,8 @@ class EnergyMeter
      * A @p t that precedes the previous update is a caller bug: the
      * interval is clamped to zero (no joules are added or subtracted,
      * and the meter's clock does not move backwards), the new power
-     * still takes effect, and a warning is logged once per meter.
+     * still takes effect, a warning is logged once per meter, and
+     * backwardsClamps() counts it.
      */
     void update(sim::SimTime t, double watts);
 
@@ -73,21 +75,17 @@ class EnergyMeter
     /** Power currently being held (the last reported value). */
     double heldWatts() const { return heldWatts_; }
 
-    /**
-     * Mirror the held power into a telemetry gauge on every update (e.g.
-     * "host.host03.watts"), so sampled metric series carry per-meter power.
-     * Pass nullptr to detach. The gauge must outlive the meter.
-     */
-    void attachTelemetry(telemetry::Gauge *gauge);
+    /** Backwards updates clamped so far (see update()). */
+    std::uint64_t backwardsClamps() const { return backwardsClamps_; }
 
   private:
     sim::SimTime startTime_;
     sim::SimTime lastTime_;
     double heldWatts_;
     double joules_ = 0.0;
+    std::uint64_t backwardsClamps_ = 0;
     bool warnedBackwards_ = false;
     bool warnedNegativeImpulse_ = false;
-    telemetry::Gauge *wattsGauge_ = nullptr;
 };
 
 } // namespace vpm::power

@@ -52,12 +52,22 @@ Testbed::measureSleepCycle(const std::string &state_name,
     simulator.scheduleAt(idle_before + state->entryLatency + dwell,
                          [&] { fsm.requestWake(); }, "testbed.wake");
 
+    // The wattmeter samples also land in the time-series store, one
+    // series per cycle (each cycle's clock starts at zero).
+    telemetry::TimeSeriesStore &store = telemetry::global().timeseries();
+    const std::uint32_t watts_series =
+        store.enabled() ? store.seriesId("testbed." + state_name +
+                                         ".power.watts")
+                        : 0;
+
     CycleTrace trace;
     trace.duration = total;
     for (SimTime t; t <= total; t += sample_interval) {
         simulator.scheduleAt(t, [&, t] {
+            const double watts = fsm.powerWatts(0.0);
             trace.samples.push_back(
-                {t, fsm.powerWatts(0.0), power::toString(fsm.phase())});
+                {t, watts, power::toString(fsm.phase())});
+            store.record(watts_series, t.micros(), watts);
         }, "testbed.sample");
     }
 

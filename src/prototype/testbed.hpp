@@ -77,7 +77,9 @@ class Testbed
 
     /**
      * Drive one idle -> suspend -> dwell -> resume -> idle cycle and sample
-     * power at @p sample_interval, wattmeter-style.
+     * power at @p sample_interval, wattmeter-style. With telemetry on, the
+     * samples are also recorded as the store series
+     * `testbed.<state_name>.power.watts`.
      *
      * @param state_name Sleep state to cycle.
      * @param idle_before S0-idle lead-in.

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "telemetry/telemetry.hpp"
-
 namespace vpm::sim {
 
 namespace {
@@ -17,28 +15,6 @@ vlogTo(std::FILE *stream, const char *tag, const char *fmt, std::va_list ap)
     std::fprintf(stream, "%s: ", tag);
     std::vfprintf(stream, fmt, ap);
     std::fputc('\n', stream);
-}
-
-/**
- * Severity counters in the global metrics registry: every report is
- * counted even when the log level suppresses its stderr line, so benches
- * that silence the simulator still see how noisy a run was. Handles are
- * resolved once; the registry outlives all callers.
- */
-telemetry::Counter &
-errorCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::global().metrics().counter("log.errors");
-    return c;
-}
-
-telemetry::Counter &
-warningCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::global().metrics().counter("log.warnings");
-    return c;
 }
 
 } // namespace
@@ -58,7 +34,6 @@ logLevel()
 void
 panic(const char *fmt, ...)
 {
-    errorCounter().increment();
     std::va_list ap;
     va_start(ap, fmt);
     vlogTo(stderr, "panic", fmt, ap);
@@ -69,7 +44,6 @@ panic(const char *fmt, ...)
 void
 fatal(const char *fmt, ...)
 {
-    errorCounter().increment();
     std::va_list ap;
     va_start(ap, fmt);
     vlogTo(stderr, "fatal", fmt, ap);
@@ -80,7 +54,6 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    warningCounter().increment();
     if (gLevel < LogLevel::Warn)
         return;
     std::va_list ap;

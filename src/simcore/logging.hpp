@@ -10,11 +10,6 @@
  *
  * Log verbosity is a process-global level so benches can silence the
  * simulator while tests can crank it up for debugging.
- *
- * Every warning and error additionally increments the "log.warnings" /
- * "log.errors" counters in the global telemetry MetricsRegistry — even
- * when the level suppresses the stderr line — so a silenced run still
- * reports how noisy it was.
  */
 
 #ifndef VPM_SIMCORE_LOGGING_HPP

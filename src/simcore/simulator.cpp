@@ -1,18 +1,31 @@
 #include "simcore/simulator.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "simcore/logging.hpp"
 #include "telemetry/profiler.hpp"
-#include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
 
 namespace vpm::sim {
 
-Simulator::Simulator()
-    : dispatchCounter_(
-          telemetry::global().metrics().counter("sim.events.dispatched"))
+namespace {
+
+std::atomic<std::uint64_t> gEventsDispatched{0};
+
+} // namespace
+
+std::uint64_t
+Simulator::processEventsDispatched()
 {
+    return gEventsDispatched.load(std::memory_order_relaxed);
+}
+
+void
+Simulator::publishDispatched(std::uint64_t before) const
+{
+    gEventsDispatched.fetch_add(eventsProcessed_ - before,
+                                std::memory_order_relaxed);
 }
 
 EventId
@@ -50,7 +63,6 @@ Simulator::dispatchOne()
                   static_cast<long long>(now_.micros()));
         now_ = fired.when;
         ++eventsProcessed_;
-        dispatchCounter_.increment();
         // Run the callback under the context its scheduler captured, so
         // any events it schedules — and any journal records it emits —
         // inherit the decision that ultimately caused it.
@@ -77,7 +89,6 @@ Simulator::dispatchOne()
               static_cast<long long>(now_.micros()));
     now_ = fired.when;
     ++eventsProcessed_;
-    dispatchCounter_.increment();
     {
         telemetry::TraceScope scope(fired.context);
         fired.callback();
@@ -94,8 +105,10 @@ SimTime
 Simulator::run()
 {
     stopRequested_ = false;
+    const std::uint64_t before = eventsProcessed_;
     while (!queue_.empty() && !stopRequested_)
         dispatchOne();
+    publishDispatched(before);
     return now_;
 }
 
@@ -108,10 +121,12 @@ Simulator::runUntil(SimTime horizon)
               static_cast<long long>(now_.micros()));
 
     stopRequested_ = false;
+    const std::uint64_t before = eventsProcessed_;
     while (!queue_.empty() && !stopRequested_ &&
            queue_.nextTime() <= horizon) {
         dispatchOne();
     }
+    publishDispatched(before);
     if (!stopRequested_)
         now_ = horizon;
 }

@@ -16,7 +16,6 @@
 
 #include "simcore/event_queue.hpp"
 #include "simcore/sim_time.hpp"
-#include "telemetry/metrics_registry.hpp"
 
 namespace vpm::sim {
 
@@ -32,7 +31,7 @@ namespace vpm::sim {
 class Simulator
 {
   public:
-    Simulator();
+    Simulator() = default;
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
@@ -93,18 +92,25 @@ class Simulator
     /** Total events dispatched so far. */
     std::uint64_t eventsProcessed() const { return eventsProcessed_; }
 
+    /**
+     * Events dispatched by every Simulator in the process. Each run() /
+     * runUntil() adds its own dispatch count once when it returns, so the
+     * dispatch loop itself touches no shared state; a harness reads the
+     * difference around the work it measures.
+     */
+    static std::uint64_t processEventsDispatched();
+
   private:
     /** Pop and dispatch one event. Queue must be non-empty. */
     void dispatchOne();
+
+    /** Add the events dispatched since @p before to the process total. */
+    void publishDispatched(std::uint64_t before) const;
 
     EventQueue queue_;
     SimTime now_;
     std::uint64_t eventsProcessed_ = 0;
     bool stopRequested_ = false;
-
-    /** Fleet-wide dispatch counter in the global metrics registry; the
-     *  handle is resolved once here so the hot loop pays one increment. */
-    telemetry::Counter &dispatchCounter_;
 };
 
 } // namespace vpm::sim

@@ -19,8 +19,8 @@ namespace vpm::stats {
  * Exact percentile of a small sample set by linear interpolation between
  * closest ranks (numpy's default): rank = fraction * (n - 1), the result
  * interpolates between the two samples bracketing that rank. Unlike the
- * bucketed Histogram/HistogramMetric percentiles this is exact, which is
- * what the bench harness needs for its median-of-N wall-clock numbers.
+ * bucketed Histogram percentiles this is exact, which is what the bench
+ * harness needs for its median-of-N wall-clock numbers.
  *
  * @param samples Sample set; taken by value because it must be sorted.
  * @param fraction In [0, 1] (clamped): 0 returns the minimum, 1 the

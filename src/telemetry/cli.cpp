@@ -35,21 +35,20 @@ FlagReader::value(int &i) const
 }
 
 long long
-FlagReader::integer(int &i, long long min, long long max) const
+FlagReader::checkedInteger(const std::string &what, const char *text,
+                           long long min, long long max) const
 {
-    const char *text = value(i);
     const std::optional<long long> parsed = parseInt(text, min, max);
     if (!parsed)
-        refuse(std::string(argv_[i - 1]) + " wants an integer in [" +
-               std::to_string(min) + ", " + std::to_string(max) +
-               "], got '" + text + "'");
+        refuse(what + " wants an integer in [" + std::to_string(min) +
+               ", " + std::to_string(max) + "], got '" + text + "'");
     return *parsed;
 }
 
 double
-FlagReader::number(int &i, double min, double max) const
+FlagReader::checkedNumber(const std::string &what, const char *text,
+                          double min, double max) const
 {
-    const char *text = value(i);
     char *end = nullptr;
     errno = 0;
     const double parsed = std::strtod(text, &end);
@@ -57,10 +56,38 @@ FlagReader::number(int &i, double min, double max) const
         !std::isfinite(parsed) || !(parsed >= min) || !(parsed <= max)) {
         char range[64];
         std::snprintf(range, sizeof(range), "[%g, %g]", min, max);
-        refuse(std::string(argv_[i - 1]) + " wants a number in " + range +
-               ", got '" + text + "'");
+        refuse(what + " wants a number in " + range + ", got '" + text +
+               "'");
     }
     return parsed;
+}
+
+long long
+FlagReader::integer(int &i, long long min, long long max) const
+{
+    const char *text = value(i);
+    return checkedInteger(argv_[i - 1], text, min, max);
+}
+
+double
+FlagReader::number(int &i, double min, double max) const
+{
+    const char *text = value(i);
+    return checkedNumber(argv_[i - 1], text, min, max);
+}
+
+long long
+FlagReader::operandInteger(int i, long long min, long long max) const
+{
+    return checkedInteger("operand " + std::to_string(i), argv_[i], min,
+                          max);
+}
+
+double
+FlagReader::operandNumber(int i, double min, double max) const
+{
+    return checkedNumber("operand " + std::to_string(i), argv_[i], min,
+                         max);
 }
 
 } // namespace vpm::cli

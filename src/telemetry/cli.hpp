@@ -55,10 +55,24 @@ class FlagReader
     long long integer(int &i, long long min, long long max = INT_MAX) const;
     double number(int &i, double min, double max = HUGE_VAL) const;
 
+    /** @name Positional operands
+     *  argv[@p i] itself, refused like a flag value ("<prog>: operand
+     *  <i> wants ..."). */
+    ///@{
+    long long operandInteger(int i, long long min,
+                             long long max = INT_MAX) const;
+    double operandNumber(int i, double min, double max = HUGE_VAL) const;
+    ///@}
+
     /** Print "<prog>: @p message" and the usage on stderr; exit 2. */
     [[noreturn]] void refuse(const std::string &message) const;
 
   private:
+    long long checkedInteger(const std::string &what, const char *text,
+                             long long min, long long max) const;
+    double checkedNumber(const std::string &what, const char *text,
+                         double min, double max) const;
+
     std::string prog_;
     Usage usage_;
     int argc_;

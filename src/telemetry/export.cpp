@@ -154,20 +154,55 @@ csvQuote(const std::string &cell)
     return out;
 }
 
+std::string
+formatBucketValue(double v)
+{
+    char buf[64];
+    // Range check before the cast: a non-finite or huge value (a corrupt
+    // snapshot can hold any bits) must not reach an undefined conversion.
+    if (std::isfinite(v) && std::fabs(v) < 1e15 && v == std::floor(v)) {
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(v));
+    } else {
+        std::snprintf(buf, sizeof(buf), "%.10g", v);
+    }
+    return buf;
+}
+
+void
+writeBucketCsv(const TsSnapshot &snapshot,
+               const std::vector<std::string> &names, std::ostream &out,
+               std::int64_t t0_us, std::int64_t t1_us)
+{
+    out << "series,start_us,min,max,mean,sum,count,last\n";
+    for (const std::string &name : names) {
+        const TsSnapshot::Series *series = snapshot.find(name);
+        if (series == nullptr)
+            continue;
+        const std::string cell = csvQuote(series->name);
+        for (const TsBucket &b : series->buckets) {
+            if (b.startUs < t0_us || b.startUs > t1_us)
+                continue;
+            out << cell << ',' << b.startUs << ','
+                << formatBucketValue(b.min) << ','
+                << formatBucketValue(b.max) << ','
+                << formatBucketValue(b.mean()) << ','
+                << formatBucketValue(b.sum) << ',' << b.count << ','
+                << formatBucketValue(b.last) << '\n';
+        }
+    }
+}
+
 void
 writeMetricsCsv(const Telemetry &telemetry, std::ostream &out)
 {
     PROF_ZONE("telemetry.export.csv");
-    out << "t_us";
-    for (const std::string &column : telemetry.seriesColumns())
-        out << ',' << csvQuote(column);
-    out << '\n';
-    for (const SeriesRow &row : telemetry.seriesRows()) {
-        out << row.timeUs;
-        for (const double v : row.values)
-            out << ',' << fmtDouble(v);
-        out << '\n';
-    }
+    const TsSnapshot snapshot = telemetry.timeseries().snapshot();
+    std::vector<std::string> names;
+    names.reserve(snapshot.series.size());
+    for (const TsSnapshot::Series &series : snapshot.series)
+        names.push_back(series.name);
+    writeBucketCsv(snapshot, names, out);
 }
 
 namespace {
@@ -394,19 +429,16 @@ writeChromeTrace(const Telemetry &telemetry, std::ostream &out)
         emit(line.str());
     }
 
-    // Gauge columns of the sampled series become counter tracks.
-    const std::vector<std::string> &columns = telemetry.seriesColumns();
-    for (const SeriesRow &row : telemetry.seriesRows()) {
-        for (std::size_t i = 0; i < columns.size() &&
-                                i < row.values.size(); ++i) {
-            if (columns[i].rfind("gauge.", 0) != 0)
-                continue;
-            const std::string name = columns[i].substr(6);
+    // Every store series becomes a counter track of its bucket means.
+    const TsSnapshot snapshot = telemetry.timeseries().snapshot();
+    for (const TsSnapshot::Series &series : snapshot.series) {
+        const std::string name = jsonEscape(series.name);
+        for (const TsBucket &b : series.buckets) {
             std::ostringstream line;
-            line << "{\"ph\":\"C\",\"name\":\"" << jsonEscape(name)
+            line << "{\"ph\":\"C\",\"name\":\"" << name
                  << "\",\"pid\":" << kPidMetrics << ",\"tid\":0,\"ts\":"
-                 << row.timeUs << ",\"args\":{\"value\":"
-                 << fmtDouble(row.values[i]) << "}}";
+                 << b.startUs << ",\"args\":{\"value\":"
+                 << fmtDouble(b.mean()) << "}}";
             emit(line.str());
         }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 
@@ -134,16 +135,55 @@ Profiler::recordDispatch(const std::string &label, std::uint64_t ns)
         stats = &dispatch_.back();
         stats->label = label;
     }
-    ++stats->count;
-    stats->totalNs += ns;
-    stats->maxNs = std::max(stats->maxNs, ns);
-    const std::uint64_t us = ns / 1000;
-    const std::size_t bucket =
-        us == 0 ? 0
-                : std::min<std::size_t>(
-                      static_cast<std::size_t>(std::bit_width(us)) - 1,
-                      dispatchBucketCount - 1);
-    ++stats->buckets[bucket];
+    stats->record(ns);
+}
+
+namespace {
+
+constexpr std::uint64_t kSubBuckets = std::uint64_t{1}
+                                      << dispatchSubBucketBits;
+
+/** Bucket of @p ns: exact below kSubBuckets, then kSubBuckets linear
+ *  sub-buckets per power of two. */
+std::size_t
+dispatchBucket(std::uint64_t ns)
+{
+    if (ns < kSubBuckets)
+        return static_cast<std::size_t>(ns);
+    const int shift =
+        static_cast<int>(std::bit_width(ns)) - 1 - dispatchSubBucketBits;
+    return static_cast<std::size_t>((std::uint64_t(shift + 1)
+                                     << dispatchSubBucketBits) +
+                                    ((ns >> shift) - kSubBuckets));
+}
+
+/** Lower edge and width of bucket @p index, in ns (as doubles: the top
+ *  bucket's upper edge is 2^64). */
+void
+dispatchBucketRange(std::size_t index, double &lo, double &width)
+{
+    if (index < kSubBuckets) {
+        lo = static_cast<double>(index);
+        width = 1.0;
+        return;
+    }
+    const auto shift =
+        static_cast<int>((index >> dispatchSubBucketBits) - 1);
+    const std::uint64_t sub = index & (kSubBuckets - 1);
+    width = std::ldexp(1.0, shift);
+    lo = static_cast<double>(kSubBuckets + sub) * width;
+}
+
+} // namespace
+
+void
+DispatchStats::record(std::uint64_t ns)
+{
+    minNs = count == 0 ? ns : std::min(minNs, ns);
+    maxNs = std::max(maxNs, ns);
+    ++count;
+    totalNs += ns;
+    ++buckets[dispatchBucket(ns)];
 }
 
 double
@@ -153,13 +193,24 @@ DispatchStats::percentileUs(double fraction) const
         return 0.0;
     fraction = std::clamp(fraction, 0.0, 1.0);
     const double target = fraction * static_cast<double>(count);
-    std::uint64_t cumulative = 0;
+    double ns = static_cast<double>(maxNs);
+    double cumulative = 0.0;
     for (std::size_t i = 0; i < buckets.size(); ++i) {
-        cumulative += buckets[i];
-        if (static_cast<double>(cumulative) >= target)
-            return static_cast<double>(std::uint64_t{1} << (i + 1));
+        if (buckets[i] == 0)
+            continue;
+        const double in_bucket = static_cast<double>(buckets[i]);
+        if (cumulative + in_bucket >= target) {
+            double lo = 0.0;
+            double width = 0.0;
+            dispatchBucketRange(i, lo, width);
+            ns = lo + width * (target - cumulative) / in_bucket;
+            break;
+        }
+        cumulative += in_bucket;
     }
-    return static_cast<double>(std::uint64_t{1} << buckets.size());
+    ns = std::clamp(ns, static_cast<double>(minNs),
+                    static_cast<double>(maxNs));
+    return ns / 1000.0;
 }
 
 void
@@ -322,7 +373,7 @@ Profiler::writeReport(std::ostream &out) const
                 label.resize(28);
             std::snprintf(line, sizeof(line),
                           "%-28s %10" PRIu64
-                          " %11.2f %9.2f %9.0f %9.0f %9.1f\n",
+                          " %11.2f %9.2f %9.2f %9.2f %9.2f\n",
                           label.c_str(), stats.count, toMs(stats.totalNs),
                           stats.meanUs(), stats.percentileUs(0.50),
                           stats.percentileUs(0.99),

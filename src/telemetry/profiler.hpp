@@ -37,9 +37,9 @@
  * isolation call reset().
  *
  * Beyond zones it also collects:
- *  - per-event-label dispatch timing (count, total, max, log2-bucket
- *    histogram) fed by Simulator::dispatchOne, so "which event type burns
- *    the wall clock" is answerable directly;
+ *  - per-event-label dispatch timing (count, total, min, max and a
+ *    log-linear ns histogram) fed by Simulator::dispatchOne, so "which
+ *    event type burns the wall clock" is answerable directly;
  *  - process stats: peak RSS, plus heap-allocation counters when the build
  *    enables VPM_PROFILE_ALLOC (a counting operator new hook; see
  *    alloc_hook.cpp).
@@ -98,10 +98,16 @@ struct ZoneNode
     std::vector<std::uint32_t> children; ///< node indices, creation order
 };
 
-/** Number of log2 dispatch-latency buckets (bucket i covers
- *  [2^i, 2^(i+1)) microseconds; the first also takes sub-microsecond
- *  dispatches and the last everything slower). */
-inline constexpr std::size_t dispatchBucketCount = 16;
+/**
+ * Log-linear (HDR-style) dispatch-latency buckets over nanoseconds. Values
+ * below 2^dispatchSubBucketBits ns get one bucket each; above that, every
+ * power of two [2^e, 2^(e+1)) splits into 2^dispatchSubBucketBits equal
+ * sub-buckets, so a bucket is never wider than 1/8 of its lower edge and
+ * the whole uint64 range is covered.
+ */
+inline constexpr int dispatchSubBucketBits = 3;
+inline constexpr std::size_t dispatchBucketCount =
+    (64 - dispatchSubBucketBits + 1) << dispatchSubBucketBits;
 
 /** Aggregated wall-clock cost of dispatching one event label. */
 struct DispatchStats
@@ -109,8 +115,12 @@ struct DispatchStats
     std::string label;
     std::uint64_t count = 0;
     std::uint64_t totalNs = 0;
+    std::uint64_t minNs = 0; ///< meaningful once count > 0
     std::uint64_t maxNs = 0;
     std::array<std::uint64_t, dispatchBucketCount> buckets{};
+
+    /** Fold one dispatch of @p ns nanoseconds. */
+    void record(std::uint64_t ns);
 
     double
     meanUs() const
@@ -120,7 +130,11 @@ struct DispatchStats
                      : 0.0;
     }
 
-    /** Bucket-resolution percentile (upper bucket edge), in microseconds. */
+    /**
+     * The @p fraction quantile in microseconds: the bucket holding that
+     * rank, interpolated linearly inside it and clamped to the observed
+     * [minNs, maxNs]. Monotone in @p fraction; 0 when empty.
+     */
     double percentileUs(double fraction) const;
 };
 

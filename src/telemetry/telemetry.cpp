@@ -14,53 +14,9 @@ Telemetry::configure(const TelemetryConfig &config)
     TimeSeriesConfig ts;
     ts.bucketUs = config.timeseriesBucketUs;
     ts.memoryBudgetBytes = config.timeseriesBudgetBytes;
-    timeseries_.configure(ts, config.enabled && config.timeseriesEnabled);
+    timeseries_.configure(ts, config.enabled);
     watchdog_.reset();
     haveFlushWall_ = false; // bucket grid (or history) may have changed
-    seriesColumns_.clear();
-    seriesCounterCount_ = 0;
-    seriesGaugeCount_ = 0;
-    seriesRows_.clear();
-    seriesRows_.shrink_to_fit();
-    if (config_.enabled)
-        seriesRows_.reserve(config_.seriesReserveRows);
-}
-
-void
-Telemetry::sampleSeries(std::int64_t t_us)
-{
-    PROF_ZONE("telemetry.sample_series");
-    if (!config_.enabled || !config_.seriesRowsEnabled)
-        return;
-    if (seriesColumns_.empty()) {
-        // Freeze the column set on first sample.
-        seriesCounterCount_ = metrics_.counters().size();
-        seriesGaugeCount_ = metrics_.gauges().size();
-        seriesColumns_.reserve(seriesCounterCount_ + seriesGaugeCount_);
-        for (const Counter &c : metrics_.counters())
-            seriesColumns_.push_back("ctr." + c.name());
-        for (const Gauge &g : metrics_.gauges())
-            seriesColumns_.push_back("gauge." + g.name());
-        if (seriesColumns_.empty())
-            return; // nothing registered yet; try again next sample
-    }
-
-    SeriesRow row;
-    row.timeUs = t_us;
-    row.values.reserve(seriesColumns_.size());
-    std::size_t i = 0;
-    for (const Counter &c : metrics_.counters()) {
-        if (i++ >= seriesCounterCount_)
-            break;
-        row.values.push_back(static_cast<double>(c.value()));
-    }
-    i = 0;
-    for (const Gauge &g : metrics_.gauges()) {
-        if (i++ >= seriesGaugeCount_)
-            break;
-        row.values.push_back(g.value());
-    }
-    seriesRows_.push_back(std::move(row));
 }
 
 void
@@ -79,14 +35,8 @@ Telemetry::flushTimeseries(std::int64_t t_us)
     lastFlushWallUs_ = wall;
     haveFlushWall_ = true;
     timeseries_.flushAt(t_us);
-    if (!watchdog_.empty()) {
-        const auto alerts = watchdog_.evaluate(timeseries_, journal_, t_us);
-        if (!alerts.empty()) {
-            if (alertCounter_ == nullptr)
-                alertCounter_ = &metrics_.counter("watchdog.alerts");
-            alertCounter_->increment(alerts.size());
-        }
-    }
+    if (!watchdog_.empty())
+        watchdog_.evaluate(timeseries_, journal_, t_us);
     if (!snapshotPath_.empty()) {
         // Wall-clock throttle: a quick run flushes thousands of simulated
         // ticks per real second, and each refresh rewrites the whole
@@ -130,14 +80,9 @@ void
 Telemetry::reset()
 {
     journal_.clear();
-    metrics_.zero();
     timeseries_.reset();
     watchdog_.reset();
     haveFlushWall_ = false;
-    seriesColumns_.clear();
-    seriesCounterCount_ = 0;
-    seriesGaugeCount_ = 0;
-    seriesRows_.clear();
 }
 
 Telemetry &

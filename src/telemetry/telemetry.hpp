@@ -1,8 +1,11 @@
 /**
  * @file
- * Telemetry facade: one object bundling the metrics registry, the event
- * journal and the sampled metric time series, plus the process-global
- * instance the instrumented libraries emit into.
+ * Telemetry facade: one object bundling the two metric surfaces — the
+ * event journal (what happened, one record per decision or transition)
+ * and the downsampling time-series store (how aggregates moved, in
+ * bounded memory) — plus the process-global instance the instrumented
+ * libraries emit into. Counts a component keeps for itself (events
+ * dispatched, watchdog alerts, forecast error) stay on that component.
  *
  * The simulator is single-threaded and one-per-experiment, so a global
  * sink (mirroring the logging module's global level) keeps wiring trivial:
@@ -17,24 +20,15 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "telemetry/event_journal.hpp"
-#include "telemetry/metrics_registry.hpp"
 #include "telemetry/telemetry_config.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/watchdog.hpp"
 
 namespace vpm::telemetry {
 
-/** One sampled row of the metric time series. */
-struct SeriesRow
-{
-    std::int64_t timeUs = 0;
-    std::vector<double> values; ///< parallel to Telemetry::seriesColumns()
-};
-
-/** Registry + journal + series under one switch. */
+/** Journal + time-series store under one switch. */
 class Telemetry
 {
   public:
@@ -45,17 +39,14 @@ class Telemetry
 
     /**
      * Apply a configuration. Enabling preallocates the journal ring and
-     * reserves series rows; disabling releases the ring and drops any
-     * recorded events/series. Metrics registrations always survive (their
-     * handles are cached by instrumented code).
+     * turns the store on; disabling releases the ring and drops any
+     * recorded events and buckets. Store series registrations always
+     * survive (their ids are cached by instrumented code).
      */
     void configure(const TelemetryConfig &config);
 
     const TelemetryConfig &config() const { return config_; }
     bool enabled() const { return config_.enabled; }
-
-    MetricsRegistry &metrics() { return metrics_; }
-    const MetricsRegistry &metrics() const { return metrics_; }
 
     EventJournal &journal() { return journal_; }
     const EventJournal &journal() const { return journal_; }
@@ -70,7 +61,7 @@ class Telemetry
     /**
      * Seal time-series buckets up to @p t_us, then evaluate the watchdog
      * against the freshly sealed buckets — alerts land in the journal with
-     * the ambient TraceContext and bump the `watchdog.alerts` counter.
+     * the ambient TraceContext and count in Watchdog::alertCount().
      * Call once per management tick after recording the tick's samples.
      * When a snapshot target is set, the files are also refreshed (at most
      * once per wall-clock interval) so an external vpm_top can watch live.
@@ -95,32 +86,14 @@ class Telemetry
      *  or a file cannot be opened. */
     bool writeSnapshotFiles() const;
 
-    /**
-     * Snapshot every counter and gauge into one series row at @p t_us.
-     * The column set freezes on the first sample of a run; metrics created
-     * later are not retro-added to the series. No-op when disabled.
-     */
-    void sampleSeries(std::int64_t t_us);
-
-    /** Column names, frozen at the first sample ("ctr."/"gauge." prefixed
-     *  counters and gauges, in registration order). */
-    const std::vector<std::string> &seriesColumns() const
-    {
-        return seriesColumns_;
-    }
-
-    const std::vector<SeriesRow> &seriesRows() const { return seriesRows_; }
-
-    /** Drop events, series and metric values; keep all registrations. */
+    /** Drop events and buckets; keep all series registrations. */
     void reset();
 
   private:
     TelemetryConfig config_;
-    MetricsRegistry metrics_;
     EventJournal journal_;
     TimeSeriesStore timeseries_;
     Watchdog watchdog_;
-    Counter *alertCounter_ = nullptr; ///< lazy `watchdog.alerts` handle
     /** Bucket-grid position of the last flushTimeseries() that did work.
      *  Sealing, watchdog evaluation and snapshot refresh are all
      *  idempotent while the grid stands still (buckets only change state
@@ -132,10 +105,6 @@ class Telemetry
     std::string snapshotPath_;        ///< "": periodic snapshots off
     int snapshotIntervalMs_ = 1000;
     std::chrono::steady_clock::time_point lastSnapshotWrite_{};
-    std::vector<std::string> seriesColumns_;
-    std::size_t seriesCounterCount_ = 0;
-    std::size_t seriesGaugeCount_ = 0;
-    std::vector<SeriesRow> seriesRows_;
 };
 
 /** The process-global sink all instrumented libraries emit into. */

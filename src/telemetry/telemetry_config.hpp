@@ -5,7 +5,9 @@
  * Telemetry is off by default and every emission point early-outs on the
  * enabled flag, so instrumented code costs one predictable branch per event
  * when tracing is not wanted. All journal storage is preallocated at
- * configure() time: recording never allocates.
+ * configure() time: recording never allocates. The time-series store is
+ * bounded by its memory budget, so enabling telemetry never makes a run's
+ * memory grow with its length.
  */
 
 #ifndef VPM_TELEMETRY_TELEMETRY_CONFIG_HPP
@@ -16,10 +18,11 @@
 
 namespace vpm::telemetry {
 
-/** Knobs for the journal and metric-series collectors. */
+/** Knobs for the journal and the time-series store. */
 struct TelemetryConfig
 {
-    /** Master switch; when false the journal and series record nothing. */
+    /** Master switch for both surfaces: the journal and the time-series
+     *  store record exactly when this is set. */
     bool enabled = false;
 
     /**
@@ -29,26 +32,11 @@ struct TelemetryConfig
      */
     std::size_t journalCapacity = 1u << 16;
 
-    /** Rows reserved up front for the metric time series. */
-    std::size_t seriesReserveRows = 4096;
-
-    /**
-     * Collect per-tick rows of every counter/gauge (the CSV export path).
-     * Store-only runs (--timeseries/--watchdog without --trace) turn this
-     * off: the compressed store already holds the history, and the rows
-     * would grow unbounded for nothing.
-     */
-    bool seriesRowsEnabled = true;
-
-    /** Enables the compressed downsampling time-series store (vpm-ts-1).
-     *  Independent switch under the master one: tracing a run does not
-     *  imply paying for the store and vice versa. */
-    bool timeseriesEnabled = false;
-
     /** Downsampling interval of the time-series store. */
     std::int64_t timeseriesBucketUs = 60'000'000;
 
-    /** Memory budget for sealed compressed blocks (oldest evicted). */
+    /** Memory budget for sealed compressed blocks (oldest evicted): the
+     *  store's whole history costs at most this, however long the run. */
     std::size_t timeseriesBudgetBytes = 1u << 20;
 };
 

@@ -238,6 +238,10 @@ XorChannel::read(BitReader &in)
                 meaningful = 64;
             prevTrailing = 64 - prevLeading - meaningful;
         }
+        if (prevLeading < 0 || prevTrailing < 0) {
+            corrupt = true;
+            return 0.0;
+        }
         const int meaningful = 64 - prevLeading - prevTrailing;
         const std::uint64_t x = in.readBits(meaningful) << prevTrailing;
         prev ^= x;
@@ -261,17 +265,20 @@ encodeBlock(const std::vector<TsBucket> &buckets)
 
     BitWriter bits;
     XorChannel min, max, sum, count, last;
-    std::int64_t prev_t = 0, prev_delta = 0;
+    // Timestamp arithmetic wraps modulo 2^64 on both sides, so any
+    // int64 sequence round-trips and no decoded value can overflow.
+    std::uint64_t prev_t = 0, prev_delta = 0;
     for (std::size_t i = 0; i < buckets.size(); ++i) {
         const TsBucket &b = buckets[i];
+        const auto t = static_cast<std::uint64_t>(b.startUs);
         if (i == 0) {
             // First timestamp is in the header; establish the delta chain.
-            prev_t = b.startUs;
+            prev_t = t;
         } else {
-            const std::int64_t delta = b.startUs - prev_t;
-            writeDod(bits, delta - prev_delta);
+            const std::uint64_t delta = t - prev_t;
+            writeDod(bits, static_cast<std::int64_t>(delta - prev_delta));
             prev_delta = delta;
-            prev_t = b.startUs;
+            prev_t = t;
         }
         min.write(bits, b.min);
         max.write(bits, b.max);
@@ -288,21 +295,27 @@ decodeBlock(const TsBlock &block, std::vector<TsBucket> &out)
 {
     BitReader bits(block.payload.data(), block.payload.size());
     XorChannel min, max, sum, count, last;
-    std::int64_t t = block.firstBucketUs, delta = 0;
+    auto t = static_cast<std::uint64_t>(block.firstBucketUs);
+    std::uint64_t delta = 0;
     for (std::uint32_t i = 0; i < block.bucketCount; ++i) {
         if (i > 0) {
-            delta += readDod(bits);
+            delta += static_cast<std::uint64_t>(readDod(bits));
             t += delta;
         }
         TsBucket b;
-        b.startUs = t;
+        b.startUs = static_cast<std::int64_t>(t);
         b.min = min.read(bits);
         b.max = max.read(bits);
         b.sum = sum.read(bits);
         const double n = count.read(bits);
         b.last = last.read(bits);
-        if (!(n >= 0.0))
-            return false; // NaN or negative count: corrupt payload
+        if (min.corrupt || max.corrupt || sum.corrupt || count.corrupt ||
+            last.corrupt)
+            return false;
+        // A count is a whole number below 2^64; anything else (NaN,
+        // negative, fractional, too large to convert) is corrupt.
+        if (!(n >= 0.0 && n < 0x1p64) || n != std::floor(n))
+            return false;
         if (bits.exhausted() && i + 1 < block.bucketCount)
             return false; // header promised more buckets than the payload has
         b.count = static_cast<std::uint64_t>(n);
@@ -573,6 +586,24 @@ TimeSeriesStore::writeSnapshot(std::ostream &out) const
     }
 }
 
+TsSnapshot
+TimeSeriesStore::snapshot() const
+{
+    TsSnapshot snap;
+    snap.bucketUs = config_.bucketUs;
+    snap.series.reserve(series_.size());
+    for (std::uint32_t id = 0; id < series_.size(); ++id) {
+        TsSnapshot::Series series;
+        series.name = series_[id].name;
+        series.evicted = series_[id].evicted;
+        series.buckets =
+            query(id, std::numeric_limits<std::int64_t>::min(),
+                  std::numeric_limits<std::int64_t>::max());
+        snap.series.push_back(std::move(series));
+    }
+    return snap;
+}
+
 void
 TimeSeriesStore::writePrometheus(std::ostream &out) const
 {
@@ -661,11 +692,18 @@ readSnapshot(std::istream &in, TsSnapshot &out, std::string *error)
                 !getLe(in, payload_len))
                 return fail("truncated block header");
             block.firstBucketUs = static_cast<std::int64_t>(first);
-            block.payload.resize(payload_len);
-            if (payload_len > 0 &&
-                !in.read(reinterpret_cast<char *>(block.payload.data()),
-                         payload_len))
-                return fail("truncated block payload");
+            // Grow the payload only as bytes arrive: a corrupt length
+            // field must not allocate gigabytes for a short file.
+            constexpr std::uint32_t kChunk = 1u << 16;
+            for (std::uint32_t got = 0; got < payload_len;) {
+                const std::uint32_t n = std::min(kChunk, payload_len - got);
+                block.payload.resize(got + n);
+                if (!in.read(reinterpret_cast<char *>(block.payload.data()) +
+                                 got,
+                             n))
+                    return fail("truncated block payload");
+                got += n;
+            }
             if (!decodeBlock(block, series.buckets))
                 return fail("corrupt block payload");
         }

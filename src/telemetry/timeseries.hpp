@@ -121,6 +121,9 @@ struct XorChannel
     std::uint64_t prev = 0;
     int prevLeading = -1; ///< -1: no window established yet
     int prevTrailing = 0;
+    /** Set by read() on a window no writer can produce (reused before
+     *  one exists, or wider than 64 bits): the payload is corrupt. */
+    bool corrupt = false;
 
     void write(BitWriter &out, double value);
     double read(BitReader &in);
@@ -178,6 +181,8 @@ class SeriesRecorder
     std::unordered_map<std::uint32_t, std::size_t> index_;
 };
 
+struct TsSnapshot;
+
 /** The store: named series of compressed bucket history. */
 class TimeSeriesStore
 {
@@ -189,7 +194,7 @@ class TimeSeriesStore
 
     /** (Re)initialize. Enabling resets all history; disabling releases
      *  every block. Series name registrations survive re-configuration so
-     *  cached ids stay valid (mirroring MetricsRegistry semantics). */
+     *  cached ids stay valid. */
     void configure(const TimeSeriesConfig &config, bool enabled);
 
     bool enabled() const { return enabled_; }
@@ -252,6 +257,10 @@ class TimeSeriesStore
     ///@{
     /** Write the whole store as a `vpm-ts-1` binary snapshot. */
     void writeSnapshot(std::ostream &out) const;
+
+    /** The whole store decoded in memory: the same series, buckets and
+     *  eviction counts readSnapshot() recovers from writeSnapshot(). */
+    TsSnapshot snapshot() const;
 
     /** Write the latest aggregates per series in Prometheus text
      *  exposition format (one gauge per aggregate channel). */

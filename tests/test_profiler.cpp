@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <random>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "telemetry/profiler.hpp"
 
@@ -175,8 +179,68 @@ TEST_F(ProfilerTest, DispatchStatsAggregateByLabel)
     EXPECT_EQ(stats[1].totalNs, 4000u);
     EXPECT_EQ(stats[1].maxNs, 3000u);
     EXPECT_DOUBLE_EQ(stats[1].meanUs(), 2.0);
-    // Percentiles are bucket upper bounds (powers of two).
-    EXPECT_GT(stats[0].percentileUs(0.99), 64.0 - 1.0);
+    EXPECT_EQ(stats[1].minNs, 1000u);
+    // A single sample is every percentile of its label.
+    EXPECT_DOUBLE_EQ(stats[0].percentileUs(0.50), 64.0);
+    EXPECT_DOUBLE_EQ(stats[0].percentileUs(0.99), 64.0);
+}
+
+TEST(DispatchStatsTest, PercentilesStayInsideObservedRangeAndOrdered)
+{
+    // Seeded property check over many shapes of latency distribution:
+    // every quantile lies in [min, max], quantiles never decrease with
+    // the fraction, and each lies within one bucket (1/8 relative) of the
+    // exact nearest-rank sample.
+    std::mt19937_64 rng(20130613);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::uniform_int_distribution<int> count_dist(1, 3000);
+        std::uniform_real_distribution<double> log_lo(0.0, 4.0);
+        const int n = count_dist(rng);
+        const double lo = log_lo(rng);
+        std::uniform_real_distribution<double> log_ns(
+            lo, lo + std::uniform_real_distribution<double>(0.1, 5.0)(rng));
+        DispatchStats stats;
+        std::vector<std::uint64_t> samples;
+        for (int i = 0; i < n; ++i) {
+            const auto ns =
+                static_cast<std::uint64_t>(std::pow(10.0, log_ns(rng)));
+            stats.record(ns);
+            samples.push_back(ns);
+        }
+        std::sort(samples.begin(), samples.end());
+        ASSERT_EQ(stats.minNs, samples.front());
+        ASSERT_EQ(stats.maxNs, samples.back());
+        const double min_us = static_cast<double>(stats.minNs) / 1000.0;
+        const double max_us = static_cast<double>(stats.maxNs) / 1000.0;
+        double previous = 0.0;
+        for (int step = 0; step <= 1000; ++step) {
+            const double fraction = step / 1000.0;
+            const double p = stats.percentileUs(fraction);
+            ASSERT_GE(p, min_us) << "trial " << trial << " f " << fraction;
+            ASSERT_LE(p, max_us) << "trial " << trial << " f " << fraction;
+            ASSERT_GE(p, previous) << "trial " << trial << " f " << fraction;
+            previous = p;
+            const auto rank = static_cast<std::size_t>(std::max(
+                1.0, std::ceil(fraction * static_cast<double>(n))));
+            const double exact_us =
+                static_cast<double>(samples[rank - 1]) / 1000.0;
+            ASSERT_LE(std::abs(p - exact_us), exact_us / 8.0 + 0.001)
+                << "trial " << trial << " f " << fraction;
+        }
+        EXPECT_LE(stats.percentileUs(0.50), stats.percentileUs(0.99));
+    }
+}
+
+TEST(DispatchStatsTest, ResolvesSubMicrosecondDispatches)
+{
+    // The regime a log2-microsecond histogram could not see: every
+    // dispatch under a microsecond.
+    DispatchStats stats;
+    for (std::uint64_t ns = 300; ns < 400; ++ns)
+        stats.record(ns);
+    EXPECT_GE(stats.percentileUs(0.50), 0.330);
+    EXPECT_LE(stats.percentileUs(0.50), 0.370);
+    EXPECT_LE(stats.percentileUs(0.99), 0.399);
 }
 
 TEST_F(ProfilerTest, ReportContainsZonesDispatchAndProcessSections)

@@ -126,11 +126,21 @@ TEST(SimulatorTest, CancelPreventsDispatch)
 
 TEST(SimulatorTest, CountsDispatchedEvents)
 {
+    const std::uint64_t process_before =
+        Simulator::processEventsDispatched();
     Simulator simulator;
     for (int i = 0; i < 7; ++i)
         simulator.schedule(SimTime::seconds(i), [] {});
     simulator.run();
     EXPECT_EQ(simulator.eventsProcessed(), 7u);
+    // run() and runUntil() each add their own dispatches to the process
+    // total when they return.
+    EXPECT_EQ(Simulator::processEventsDispatched() - process_before, 7u);
+    for (int i = 0; i < 3; ++i)
+        simulator.schedule(SimTime::seconds(i), [] {});
+    simulator.runUntil(simulator.now() + SimTime::seconds(1.5));
+    EXPECT_EQ(simulator.eventsProcessed(), 9u);
+    EXPECT_EQ(Simulator::processEventsDispatched() - process_before, 9u);
 }
 
 TEST(SimulatorDeathTest, NegativeDelayPanics)

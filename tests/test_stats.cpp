@@ -96,6 +96,50 @@ TEST(HistogramTest, CountsAndOverflow)
     EXPECT_EQ(h.overflow(), 1u);
 }
 
+TEST(HistogramTest, LowerEdgeInclusiveUpperEdgeExclusive)
+{
+    Histogram h(0.0, 10.0, 10);
+    h.add(0.0);    // first bucket, inclusive lower edge
+    h.add(1.0);    // exact internal edge belongs to the upper bucket
+    h.add(9.999);  // last bucket
+    h.add(10.0);   // upper edge is exclusive -> overflow
+    h.add(-0.001); // below range -> underflow
+
+    EXPECT_EQ(h.buckets()[0], 1u);
+    EXPECT_EQ(h.buckets()[1], 1u);
+    EXPECT_EQ(h.buckets()[9], 1u);
+    EXPECT_EQ(h.overflow(), 1u);
+    EXPECT_EQ(h.underflow(), 1u);
+    EXPECT_EQ(h.count(), 5u);
+}
+
+TEST(HistogramTest, EveryInternalEdgeBelongsToItsUpperBucket)
+{
+    // Bucket i spans [lo + i*w, lo + (i+1)*w) — closed below, open above —
+    // so a sample exactly on an internal edge counts in the bucket whose
+    // range it opens.
+    Histogram h(0.0, 4.0, 4);
+    h.add(0.0);
+    h.add(1.0);
+    h.add(2.0);
+    h.add(3.0);
+    EXPECT_EQ(h.buckets()[0], 1u);
+    EXPECT_EQ(h.buckets()[1], 1u);
+    EXPECT_EQ(h.buckets()[2], 1u);
+    EXPECT_EQ(h.buckets()[3], 1u);
+    EXPECT_EQ(h.overflow(), 0u);
+    EXPECT_EQ(h.underflow(), 0u);
+}
+
+TEST(HistogramTest, PercentileClampsOutOfRangeSamples)
+{
+    Histogram h(0.0, 10.0, 10);
+    h.add(-5.0);
+    h.add(50.0);
+    EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
+    EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
+}
+
 TEST(HistogramTest, PercentileOfUniformSamples)
 {
     Histogram h(0.0, 1.0, 100);

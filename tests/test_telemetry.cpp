@@ -1,11 +1,9 @@
-/** @file Unit tests for the telemetry registry, journal and facade. */
+/** @file Unit tests for the telemetry journal and facade. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
-#include <thread>
 
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -13,144 +11,6 @@
 
 namespace vpm::telemetry {
 namespace {
-
-// ---------------------------------------------------------------- metrics
-
-TEST(MetricsRegistryTest, CounterFindOrCreateReturnsStableHandle)
-{
-    MetricsRegistry registry;
-    Counter &c = registry.counter("events");
-    c.increment();
-    c.increment(2);
-    EXPECT_EQ(registry.counter("events").value(), 3u);
-    EXPECT_EQ(&registry.counter("events"), &c);
-    EXPECT_EQ(c.name(), "events");
-}
-
-TEST(MetricsRegistryTest, GaugeSetAndAdd)
-{
-    MetricsRegistry registry;
-    Gauge &g = registry.gauge("watts");
-    g.set(100.0);
-    g.add(-25.0);
-    EXPECT_DOUBLE_EQ(registry.gauge("watts").value(), 75.0);
-}
-
-TEST(MetricsRegistryTest, ZeroClearsValuesButKeepsRegistrations)
-{
-    MetricsRegistry registry;
-    Counter &c = registry.counter("n");
-    Gauge &g = registry.gauge("v");
-    HistogramMetric &h = registry.histogram("h", 0.0, 1.0, 4);
-    c.increment(5);
-    g.set(2.0);
-    h.observe(0.5);
-
-    registry.zero();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-    EXPECT_EQ(h.count(), 0u);
-    // Same handles still registered: no re-creation on lookup.
-    EXPECT_EQ(&registry.counter("n"), &c);
-    EXPECT_EQ(registry.counters().size(), 1u);
-}
-
-TEST(HistogramTest, LowerEdgeInclusiveUpperEdgeExclusive)
-{
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("lat", 0.0, 10.0, 10);
-
-    h.observe(0.0);  // first bucket, inclusive lower edge
-    h.observe(1.0);  // exact internal edge belongs to the upper bucket
-    h.observe(9.999); // last bucket
-    h.observe(10.0); // upper edge is exclusive -> overflow
-    h.observe(-0.001); // below range -> underflow
-
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[9], 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.count(), 5u);
-}
-
-TEST(HistogramTest, EveryInternalEdgeBelongsToItsUpperBucket)
-{
-    // The documented convention: bucket i spans [lower + i*w, lower +
-    // (i+1)*w) — closed below, open above — so a sample exactly on an
-    // internal edge always counts in the bucket whose range it opens.
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("edges", 0.0, 4.0, 4);
-    h.observe(0.0);
-    h.observe(1.0);
-    h.observe(2.0);
-    h.observe(3.0);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[2], 1u);
-    EXPECT_EQ(h.buckets()[3], 1u);
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.underflow(), 0u);
-}
-
-TEST(HistogramTest, SamplesAboveLastBucketCountOnceAndKeepSums)
-{
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("over", 0.0, 10.0, 10);
-    h.observe(10.0); // the upper edge itself is already out of range
-    h.observe(1e9);  // far overflow lands in the same overflow counter
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.count(), 2u);
-    // Out-of-range samples still contribute to sum/mean: the histogram is
-    // a full account of what was observed, buckets only bound resolution.
-    EXPECT_DOUBLE_EQ(h.sum(), 10.0 + 1e9);
-}
-
-TEST(HistogramTest, SumMeanAndRangeAccessors)
-{
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("x", 0.0, 8.0, 4);
-    EXPECT_DOUBLE_EQ(h.bucketWidth(), 2.0);
-    h.observe(1.0);
-    h.observe(3.0);
-    EXPECT_DOUBLE_EQ(h.sum(), 4.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(h.lowerEdge(), 0.0);
-    EXPECT_DOUBLE_EQ(h.upperEdge(), 8.0);
-}
-
-TEST(HistogramTest, PercentileInterpolatesWithinBucket)
-{
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("p", 0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.observe(static_cast<double>(i) + 0.5);
-    // Uniform fill: the median lands near the middle of the range and the
-    // tail percentile near its top.
-    EXPECT_NEAR(h.percentile(0.5), 50.0, 1.0);
-    EXPECT_NEAR(h.percentile(0.95), 95.0, 1.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 100.0);
-}
-
-TEST(HistogramTest, PercentileClampsOutOfRangeSamples)
-{
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("c", 0.0, 10.0, 10);
-    h.observe(-5.0);
-    h.observe(50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
-}
-
-TEST(HistogramTest, CreationParametersApplyOnlyOnFirstUse)
-{
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("once", 0.0, 10.0, 10);
-    HistogramMetric &again = registry.histogram("once", 5.0, 500.0, 2);
-    EXPECT_EQ(&h, &again);
-    EXPECT_DOUBLE_EQ(again.upperEdge(), 10.0);
-    EXPECT_EQ(again.buckets().size(), 10u);
-}
 
 // ---------------------------------------------------------------- journal
 
@@ -299,7 +159,8 @@ TEST(TelemetryTest, DisabledEmitsNothingAndAllocatesNothing)
     telemetry.journal().migrationStart(2, 1, 0, 1, 3.0);
     telemetry.journal().record(JournalEvent{});
     EXPECT_EQ(telemetry.journal().intern("wasted"), 0);
-    telemetry.sampleSeries(5);
+    const std::uint32_t series = telemetry.timeseries().seriesId("s");
+    telemetry.timeseries().record(series, 5, 1.0);
 
     EXPECT_FALSE(telemetry.enabled());
     EXPECT_EQ(telemetry.journal().capacity(), 0u) << "no ring allocated";
@@ -307,8 +168,8 @@ TEST(TelemetryTest, DisabledEmitsNothingAndAllocatesNothing)
     EXPECT_EQ(telemetry.journal().recorded(), 0u);
     EXPECT_EQ(telemetry.journal().labelCount(), 1u)
         << "only the empty label exists";
-    EXPECT_TRUE(telemetry.seriesRows().empty());
-    EXPECT_TRUE(telemetry.seriesColumns().empty());
+    EXPECT_FALSE(telemetry.timeseries().enabled());
+    EXPECT_TRUE(telemetry.timeseries().query(series, 0, 1'000).empty());
 }
 
 TEST(TelemetryTest, ConfigurePreallocatesAndDisableReleases)
@@ -330,34 +191,6 @@ TEST(TelemetryTest, ConfigurePreallocatesAndDisableReleases)
     EXPECT_EQ(telemetry.journal().size(), 0u);
 }
 
-TEST(TelemetryTest, SeriesColumnsFreezeAtFirstSample)
-{
-    Telemetry telemetry;
-    TelemetryConfig config;
-    config.enabled = true;
-    telemetry.configure(config);
-
-    telemetry.metrics().counter("c").increment(7);
-    telemetry.metrics().gauge("g").set(1.5);
-    telemetry.sampleSeries(1'000);
-
-    // Metrics created after the first sample are not retro-added.
-    telemetry.metrics().gauge("late").set(9.0);
-    telemetry.sampleSeries(2'000);
-
-    const std::vector<std::string> &columns = telemetry.seriesColumns();
-    ASSERT_EQ(columns.size(), 2u);
-    EXPECT_EQ(columns[0], "ctr.c");
-    EXPECT_EQ(columns[1], "gauge.g");
-
-    ASSERT_EQ(telemetry.seriesRows().size(), 2u);
-    const SeriesRow &row = telemetry.seriesRows().front();
-    EXPECT_EQ(row.timeUs, 1'000);
-    ASSERT_EQ(row.values.size(), 2u);
-    EXPECT_DOUBLE_EQ(row.values[0], 7.0);
-    EXPECT_DOUBLE_EQ(row.values[1], 1.5);
-}
-
 TEST(TelemetryTest, ResetDropsDataButKeepsRegistrations)
 {
     Telemetry telemetry;
@@ -365,16 +198,17 @@ TEST(TelemetryTest, ResetDropsDataButKeepsRegistrations)
     config.enabled = true;
     telemetry.configure(config);
 
-    Counter &c = telemetry.metrics().counter("kept");
-    c.increment(3);
+    TimeSeriesStore &store = telemetry.timeseries();
+    const std::uint32_t kept = store.seriesId("kept");
+    store.record(kept, 10, 3.0);
     telemetry.journal().wakeDecision(10, 0, "capacity-shortfall");
-    telemetry.sampleSeries(10);
 
     telemetry.reset();
-    EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(telemetry.journal().size(), 0u);
-    EXPECT_TRUE(telemetry.seriesRows().empty());
-    EXPECT_EQ(&telemetry.metrics().counter("kept"), &c);
+    EXPECT_TRUE(store.query(kept, 0, 1'000).empty());
+    // Same id still registered: no re-creation on lookup.
+    EXPECT_EQ(store.seriesId("kept"), kept);
+    EXPECT_EQ(store.seriesCount(), 1u);
 }
 
 // ------------------------------------------------ staging x wraparound
@@ -423,58 +257,6 @@ TEST(EventJournalTest, FlushIntoDisabledJournalClearsTheStage)
     EXPECT_EQ(journal.flush(stage), 0u);
     EXPECT_TRUE(stage.empty());
     EXPECT_EQ(journal.recorded(), 0u);
-}
-
-// -------------------------------------------- histogram snapshot reads
-
-TEST(HistogramTest, SnapshotMatchesRawAccessorsAndPercentiles)
-{
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("lat", 0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.observe(static_cast<double>(i % 12)); // includes overflow at 10,11
-
-    const HistogramSnapshot snap = h.snapshot();
-    EXPECT_EQ(snap.lo, h.lowerEdge());
-    EXPECT_EQ(snap.hi, h.upperEdge());
-    EXPECT_EQ(snap.buckets, h.buckets());
-    EXPECT_EQ(snap.underflow, h.underflow());
-    EXPECT_EQ(snap.overflow, h.overflow());
-    EXPECT_EQ(snap.count, h.count());
-    EXPECT_DOUBLE_EQ(snap.sum, h.sum());
-    EXPECT_DOUBLE_EQ(snap.mean(), h.mean());
-    for (const double f : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(snap.percentile(f), h.percentile(f));
-}
-
-TEST(HistogramTest, SnapshotsAreNeverTornUnderConcurrentObserves)
-{
-    MetricsRegistry registry;
-    HistogramMetric &h = registry.histogram("lat", 0.0, 100.0, 20);
-
-    std::atomic<bool> stop{false};
-    std::thread writer([&] {
-        double x = 0.0;
-        while (!stop.load(std::memory_order_relaxed)) {
-            h.observe(x);
-            x += 1.0;
-            if (x > 120.0)
-                x = -5.0; // exercise under- and overflow too
-        }
-    });
-
-    // Every snapshot must be internally consistent: the bucket counts plus
-    // the out-of-range tallies always add up to the total observation
-    // count, which a torn (un-guarded) copy would violate.
-    for (int i = 0; i < 2000; ++i) {
-        const HistogramSnapshot snap = h.snapshot();
-        std::uint64_t in_range = 0;
-        for (const std::uint64_t c : snap.buckets)
-            in_range += c;
-        ASSERT_EQ(in_range + snap.underflow + snap.overflow, snap.count);
-    }
-    stop.store(true);
-    writer.join();
 }
 
 // --------------------------------------------------- CSV field quoting

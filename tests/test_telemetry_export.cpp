@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "telemetry/export.hpp"
@@ -21,6 +22,7 @@ populate(Telemetry &telemetry)
     TelemetryConfig config;
     config.enabled = true;
     config.journalCapacity = 64;
+    config.timeseriesBucketUs = 1'000'000;
     telemetry.configure(config);
 
     EventJournal &journal = telemetry.journal();
@@ -37,8 +39,8 @@ populate(Telemetry &telemetry)
     journal.wakeDecision(6'000'000, 0, "capacity-shortfall");
     journal.slaViolation(7'000'000, 7, 0.5, 2000.0);
 
-    telemetry.metrics().gauge("cluster.hosts.on").set(8.0);
-    telemetry.sampleSeries(1'000'000);
+    TimeSeriesStore &store = telemetry.timeseries();
+    store.record(store.seriesId("cluster.hosts.on"), 1'000'000, 8.0);
 }
 
 TEST(TelemetryExportTest, JournalJsonlGolden)
@@ -68,7 +70,50 @@ TEST(TelemetryExportTest, MetricsCsvGolden)
 
     std::ostringstream out;
     writeMetricsCsv(telemetry, out);
-    EXPECT_EQ(out.str(), "t_us,gauge.cluster.hosts.on\n1000000,8\n");
+    EXPECT_EQ(out.str(), "series,start_us,min,max,mean,sum,count,last\n"
+                         "cluster.hosts.on,1000000,8,8,8,8,1,8\n");
+}
+
+TEST(TelemetryExportTest, TraceCsvEqualsSnapshotQueryOfEverySeries)
+{
+    // The --trace CSV renders the live store; vpm_top --query renders a
+    // vpm-ts-1 snapshot of it. Over every series the two must be the
+    // same bytes: sealed blocks, pending buckets and the open bucket.
+    Telemetry telemetry;
+    TelemetryConfig config;
+    config.enabled = true;
+    config.timeseriesBucketUs = 1'000;
+    telemetry.configure(config);
+    TimeSeriesStore &store = telemetry.timeseries();
+    const std::uint32_t watts = store.seriesId("cluster.power.watts");
+    const std::uint32_t ratio = store.seriesId("odd,name \"quoted\"");
+    store.seriesId("never.recorded");
+    for (std::int64_t t = 0; t < 400'000; t += 300) {
+        store.record(watts, t, 100.0 + static_cast<double>(t % 7'000) / 3);
+        if (t % 900 == 0)
+            store.record(ratio, t, 1.0 / static_cast<double>(1 + t));
+        telemetry.flushTimeseries(t);
+    }
+
+    std::ostringstream trace_csv;
+    writeMetricsCsv(telemetry, trace_csv);
+
+    std::stringstream bytes;
+    store.writeSnapshot(bytes);
+    TsSnapshot snapshot;
+    std::string error;
+    ASSERT_TRUE(readSnapshot(bytes, snapshot, &error)) << error;
+    std::vector<std::string> names;
+    for (const TsSnapshot::Series &series : snapshot.series)
+        names.push_back(series.name);
+    std::ostringstream query_csv;
+    writeBucketCsv(snapshot, names, query_csv);
+
+    const std::string text = trace_csv.str();
+    EXPECT_EQ(text, query_csv.str());
+    EXPECT_GT(std::count(text.begin(), text.end(), '\n'), 400);
+    EXPECT_NE(text.find("\"odd,name \"\"quoted\"\"\",0,"),
+              std::string::npos);
 }
 
 TEST(TelemetryExportTest, ChromeTraceGolden)
@@ -218,7 +263,7 @@ TEST(TelemetryExportTest, DisabledTelemetryExportsEmptyShells)
     writeChromeTrace(telemetry, chrome);
 
     EXPECT_EQ(jsonl.str(), "");
-    EXPECT_EQ(csv.str(), "t_us\n");
+    EXPECT_EQ(csv.str(), "series,start_us,min,max,mean,sum,count,last\n");
     // Still a valid trace file: metadata only, no events.
     EXPECT_NE(chrome.str().find("\"traceEvents\":["), std::string::npos);
     EXPECT_EQ(chrome.str().find("\"ph\":\"X\""), std::string::npos);

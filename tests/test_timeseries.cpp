@@ -452,7 +452,6 @@ snapshotBytesAtThreads(unsigned threads)
     sim::setGlobalThreads(threads);
     TelemetryConfig tel_config;
     tel_config.enabled = true;
-    tel_config.timeseriesEnabled = true;
     global().configure(tel_config);
 
     mgmt::ScenarioConfig config;

@@ -184,10 +184,6 @@ main(int argc, char **argv)
     if (!opts.timeseriesPath.empty() || !opts.watchdogPath.empty()) {
         telemetry::TelemetryConfig tel_config;
         tel_config.enabled = true;
-        tel_config.timeseriesEnabled = true;
-        // The compressed store holds the history; per-tick metric rows
-        // would only duplicate it (vpm_sim's --csv has its own sampler).
-        tel_config.seriesRowsEnabled = false;
         telemetry::global().configure(tel_config);
         if (!opts.timeseriesPath.empty())
             telemetry::global().setSnapshotTarget(opts.timeseriesPath);

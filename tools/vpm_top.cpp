@@ -27,11 +27,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <limits>
 #include <optional>
 #include <string>
@@ -39,10 +39,12 @@
 #include <vector>
 
 #include "telemetry/cli.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace {
 
+using vpm::telemetry::formatBucketValue;
 using vpm::telemetry::TsBucket;
 using vpm::telemetry::TsSnapshot;
 
@@ -71,21 +73,6 @@ usage(const char *argv0, int code)
         "  --help              this text\n",
         argv0);
     std::exit(code);
-}
-
-/** Deterministic number formatting: integral values print without a
- *  fraction, everything else as shortest-ish %.10g. */
-std::string
-fmtValue(double v)
-{
-    char buf[64];
-    if (v == static_cast<std::int64_t>(v) && std::abs(v) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.10g", v);
-    }
-    return buf;
 }
 
 /** Parse "t0:t1" with optional empty sides. @return false on junk. */
@@ -250,12 +237,12 @@ runQuery(const Options &opts)
                             "\"mean\":%s,\"sum\":%s,\"count\":%llu,"
                             "\"last\":%s}",
                             static_cast<long long>(b.startUs),
-                            fmtValue(b.min).c_str(),
-                            fmtValue(b.max).c_str(),
-                            fmtValue(b.mean()).c_str(),
-                            fmtValue(b.sum).c_str(),
+                            formatBucketValue(b.min).c_str(),
+                            formatBucketValue(b.max).c_str(),
+                            formatBucketValue(b.mean()).c_str(),
+                            formatBucketValue(b.sum).c_str(),
                             static_cast<unsigned long long>(b.count),
-                            fmtValue(b.last).c_str());
+                            formatBucketValue(b.last).c_str());
             }
             std::printf("]}");
         }
@@ -263,21 +250,8 @@ runQuery(const Options &opts)
         return 0;
     }
 
-    std::printf("series,start_us,min,max,mean,sum,count,last\n");
-    for (const std::string &name : opts.query) {
-        const TsSnapshot::Series *series = snap.find(name);
-        for (const TsBucket *bucket : clip(*series, opts)) {
-            std::printf("%s,%lld,%s,%s,%s,%s,%llu,%s\n",
-                        series->name.c_str(),
-                        static_cast<long long>(bucket->startUs),
-                        fmtValue(bucket->min).c_str(),
-                        fmtValue(bucket->max).c_str(),
-                        fmtValue(bucket->mean()).c_str(),
-                        fmtValue(bucket->sum).c_str(),
-                        static_cast<unsigned long long>(bucket->count),
-                        fmtValue(bucket->last).c_str());
-        }
-    }
+    vpm::telemetry::writeBucketCsv(snap, opts.query, std::cout,
+                                   opts.rangeBeginUs, opts.rangeEndUs);
     return 0;
 }
 
@@ -343,8 +317,9 @@ renderDashboard(const TsSnapshot &snap, const std::string &path)
         }
         std::printf("%-32s %12s %12s %12s %8llu  |%s|\n",
                     series.name.c_str(),
-                    fmtValue(series.buckets.back().last).c_str(),
-                    fmtValue(lo).c_str(), fmtValue(hi).c_str(),
+                    formatBucketValue(series.buckets.back().last).c_str(),
+                    formatBucketValue(lo).c_str(),
+                    formatBucketValue(hi).c_str(),
                     static_cast<unsigned long long>(series.evicted),
                     sparkline(series.buckets, 40).c_str());
     }
